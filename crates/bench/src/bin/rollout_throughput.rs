@@ -25,6 +25,7 @@
 //! determinism check is meaningful everywhere.
 
 use atena_batch::BatchPlanner;
+use atena_bench::chaos::quantile;
 use atena_bench::{f2, finish_telemetry, init_telemetry, render_table};
 use atena_core::{Atena, AtenaConfig, Strategy};
 use atena_env::{DisplayCache, DisplayCacheStats, EdaEnv};
@@ -256,15 +257,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
         return Err("--batch-sizes needs positive batch sizes".into());
     }
     Ok(config)
-}
-
-/// Duration quantile over a sorted sample.
-fn quantile_us(sorted: &[Duration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)].as_secs_f64() * 1e6
 }
 
 /// One timed sweep at a worker count and display-cache capacity; returns
@@ -753,9 +745,9 @@ fn main() {
         let speedup = sps / base_sps.max(1e-9);
         batch_digests.push((batch, digest));
         let (p50, p95, p99) = (
-            quantile_us(&forward_lat, 0.50),
-            quantile_us(&forward_lat, 0.95),
-            quantile_us(&forward_lat, 0.99),
+            quantile(&forward_lat, 0.50).as_secs_f64() * 1e6,
+            quantile(&forward_lat, 0.95).as_secs_f64() * 1e6,
+            quantile(&forward_lat, 0.99).as_secs_f64() * 1e6,
         );
         batch_records.push(BatchSweepRecord {
             batch,

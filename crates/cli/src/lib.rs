@@ -95,8 +95,9 @@ OPTIONS:
   --seed <N>          random seed                        [default: 0]
   --workers <N>       rollout threads for training; changes speed, never
                       results (DESIGN.md §4h)   [default: available parallelism]
-  --batch-lanes <N>   lanes stepped per batched policy forward; changes
-                      speed, never results (DESIGN.md §4l)  [default: 0 (off)]
+  --batch-lanes <N>   row cap of the batched policy forward that steps each
+                      worker's lanes; changes speed, never results
+                      (DESIGN.md §4l)     [default: 0 (whole shard per forward)]
   --out <file.md>     write the notebook as Markdown (default: stdout)
   --json <file.json>  also write the notebook summary as JSON
   --log-level <L>     error | warn | info | debug        [default: $ATENA_LOG or info]
@@ -243,8 +244,8 @@ pub struct GenerateOpts {
     /// Rollout threads for training (`None` = available parallelism).
     /// Execution-only: never affects results.
     pub workers: Option<usize>,
-    /// Rows per batched policy forward during rollouts (0 = per-lane
-    /// serial forwards). Execution-only, like `workers`.
+    /// Row cap of each batched policy forward during rollouts (0 = one
+    /// forward over a worker's whole shard). Execution-only, like `workers`.
     pub batch_lanes: usize,
     /// Markdown output path (stdout when `None`).
     pub out: Option<String>,
@@ -1544,7 +1545,7 @@ garbage line
         assert_eq!(opts.batch_lanes, 8);
         let config = config_for(&opts);
         assert_eq!(config.trainer.batch_lanes, 8);
-        // Default: lane batching off.
+        // Default: one forward over each worker's whole shard.
         assert_eq!(config_for(&GenerateOpts::default()).trainer.batch_lanes, 0);
         assert!(matches!(
             parse(&args(&["train", "cyber2", "--batch-lanes", "x"])),

@@ -10,10 +10,12 @@
 //!   distinct action (OTS-DRL / OTS-DRL-B);
 //! - [`PpoLearner`] — advantage actor-critic with PPO clipping, GAE(λ), and
 //!   entropy regularization;
-//! - [`Trainer`] — deterministic rollout collection over the
-//!   `atena-runtime` worker pool (serial and parallel [`RolloutSource`]s
-//!   are bit-identical at a seed) with synchronous PPO updates,
-//!   convergence-curve logging, and best-episode extraction;
+//! - [`Trainer`] — deterministic rollout collection by one engine,
+//!   [`ParallelRollouts`], which shards lanes over the `atena-runtime`
+//!   worker pool and steps each shard through batched policy forwards
+//!   (bit-identical at a seed for any worker count or row cap; serial is
+//!   one worker), with synchronous PPO updates, convergence-curve logging,
+//!   and best-episode extraction;
 //! - [`greedy_episode`] — the non-learned Greedy-IO / Greedy-CR baselines.
 
 #![forbid(unsafe_code)]
@@ -38,9 +40,6 @@ pub use policy::{
 };
 pub use ppo::{PpoConfig, PpoLearner, UpdateStats};
 pub use rollout::{AdvantageEstimates, RolloutBuffer, RolloutStep};
-pub use source::{
-    BatchedRollouts, ParallelRollouts, RolloutPlan, RolloutSource, SerialRollouts,
-    DEFAULT_DISPLAY_CACHE,
-};
+pub use source::{ParallelRollouts, RolloutPlan, RolloutSource, DEFAULT_DISPLAY_CACHE};
 pub use trainer::{CurvePoint, EpisodeRecord, TrainLog, Trainer, TrainerConfig};
 pub use twofold::{TwofoldConfig, TwofoldPolicy};

@@ -1,22 +1,25 @@
-//! Rollout sources: where the trainer's experience comes from.
+//! The rollout engine: where the trainer's experience comes from.
 //!
-//! A [`RolloutSource`] owns a fleet of episode *lanes* — independent
-//! [`EdaEnv`]s that persist across iterations — and collects one
-//! iteration's worth of trajectory fragments from them on demand. The
-//! determinism contract (DESIGN.md §4h) is enforced here:
+//! [`ParallelRollouts`] owns a fleet of episode *lanes* — independent
+//! [`EdaEnv`]s that persist across iterations — shards them over an
+//! [`atena_runtime::Runtime`], and collects one iteration's worth of
+//! trajectory fragments on demand. Within a shard all lanes advance in
+//! lockstep, one batched policy forward per env step. The serial schedule
+//! is simply `workers = 1`. The determinism contract (DESIGN.md §4h) is
+//! enforced here:
 //!
 //! - lane `l`'s randomness at iteration `k` comes from the counter-derived
 //!   stream `stream_seed(base_seed, l, k)` — never from a shared stateful
 //!   RNG, so it cannot depend on scheduling;
+//! - the batched forward is row-independent (DESIGN.md §4l), so a lane's
+//!   step does not depend on which lanes shared its forward;
 //! - fragments are merged in lane order, so the buffer layout depends
 //!   only on `(n_lanes, rollout_len)`.
 //!
-//! [`SerialRollouts`] walks the lanes in order on the calling thread and
-//! is the reference schedule; [`ParallelRollouts`] shards the same lanes
-//! over an [`atena_runtime::Runtime`] and produces bit-identical output
-//! because neither the streams nor the merge order involve threads.
+//! Worker count, row cap, and display-cache capacity therefore change
+//! speed, never transcripts.
 
-use crate::policy::{ActionMapper, MappedAction, Policy};
+use crate::policy::{ActionMapper, MappedAction, Policy, PolicyStep};
 use crate::rollout::{RolloutBuffer, RolloutStep};
 use crate::trainer::EpisodeRecord;
 use atena_batch::BatchPlanner;
@@ -50,13 +53,46 @@ pub struct RolloutPlan<'a> {
     pub iteration: u64,
 }
 
-/// One episode lane: an environment plus the running episode totals that
-/// survive across iteration boundaries (episodes need not align with
-/// rollout fragments).
+/// One episode lane: an environment plus the running reward breakdown of
+/// its current episode, which survives across iteration boundaries
+/// (episodes need not align with rollout fragments).
 struct Lane {
     env: EdaEnv,
-    episode_reward: f64,
     episode_breakdown: RewardBreakdown,
+}
+
+impl Lane {
+    /// Apply one sampled step to this lane: step the environment, extend
+    /// `buffer`, and on episode end record it in `episodes` and reset the
+    /// environment with a seed drawn from `rng`.
+    fn advance(
+        &mut self,
+        obs: Vec<f32>,
+        step: PolicyStep,
+        plan: &RolloutPlan<'_>,
+        rng: &mut StdRng,
+        buffer: &mut RolloutBuffer,
+        episodes: &mut Vec<EpisodeRecord>,
+    ) {
+        let mapped = plan.mapper.map(&step.choice);
+        let r = step_env(&mut self.env, &mapped, plan.reward);
+        self.episode_breakdown += r;
+        let done = self.env.done();
+        buffer.push(RolloutStep {
+            obs,
+            choice: step.choice,
+            log_prob: step.log_prob,
+            value: step.value,
+            reward: r.total as f32,
+            done,
+        });
+        if done {
+            episodes.push(episode_record(&self.env, self.episode_breakdown));
+            self.episode_breakdown = RewardBreakdown::default();
+            let seed = rng.gen();
+            self.env.reset_with_seed(seed);
+        }
+    }
 }
 
 /// A supplier of rollout experience over a fixed fleet of lanes.
@@ -80,12 +116,9 @@ pub trait RolloutSource: Send {
     fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>);
 
     /// Timing profile of the most recent `collect` (per-worker busy time,
-    /// merge cost), when the source runs on a worker pool. `None` for
-    /// sources without one. Read-only observability: feeding it anywhere
-    /// back into collection would break the determinism contract.
-    fn scatter_profile(&self) -> Option<ScatterProfile> {
-        None
-    }
+    /// merge cost). Read-only observability: feeding it anywhere back into
+    /// collection would break the determinism contract.
+    fn scatter_profile(&self) -> Option<ScatterProfile>;
 }
 
 /// Default capacity of the display cache a rollout source shares across
@@ -116,7 +149,6 @@ fn make_lanes(
             env.reset_with_seed(stream_seed(base_seed, lane, STREAM_INIT));
             Lane {
                 env,
-                episode_reward: 0.0,
                 episode_breakdown: RewardBreakdown::default(),
             }
         })
@@ -156,47 +188,60 @@ pub(crate) fn episode_record(env: &EdaEnv, breakdown: RewardBreakdown) -> Episod
     }
 }
 
-/// Collect one fragment from one lane. The lane's RNG for this iteration
-/// is derived fresh from its coordinates, so this function's effects are
-/// identical wherever (and on whatever thread) it runs.
-fn run_lane(
-    lane: &mut Lane,
-    lane_id: usize,
+/// The RNG stream of lane `lane_id` at the plan's iteration.
+fn lane_rng(plan: &RolloutPlan<'_>, lane_id: usize) -> StdRng {
+    StdRng::seed_from_u64(stream_seed(plan.base_seed, lane_id as u64, plan.iteration))
+}
+
+/// Collect one fragment from every lane of a shard, stepping all lanes
+/// in lockstep through **one batched policy forward per env step**
+/// (chunked at `max_batch` rows; `0` means the whole shard).
+///
+/// Bit-identical to stepping each lane alone with one-row forwards: each
+/// lane keeps its own counter-seeded RNG and [`crate::PolicyRow::sample`]
+/// draws from it in exactly the order a one-row act would, while the
+/// batched forward itself is row-independent (DESIGN.md §4l).
+fn run_shard(
+    lanes: &mut [Lane],
+    first_lane_id: usize,
     plan: &RolloutPlan<'_>,
-) -> (RolloutBuffer, Vec<EpisodeRecord>) {
-    let mut rng =
-        StdRng::seed_from_u64(stream_seed(plan.base_seed, lane_id as u64, plan.iteration));
-    let mut buffer = RolloutBuffer::new();
-    let mut episodes = Vec::new();
+    max_batch: usize,
+    telemetry: &MetricsRegistry,
+) -> Vec<(RolloutBuffer, Vec<EpisodeRecord>)> {
+    let rows_cap = if max_batch == 0 {
+        lanes.len()
+    } else {
+        max_batch
+    };
+    let planner = BatchPlanner::new(plan.policy.obs_dim(), rows_cap);
+    let occupancy = telemetry.histogram("batch.occupancy");
+    let mut rngs: Vec<StdRng> = (0..lanes.len())
+        .map(|i| lane_rng(plan, first_lane_id + i))
+        .collect();
+    let mut fragments: Vec<(RolloutBuffer, Vec<EpisodeRecord>)> = (0..lanes.len())
+        .map(|_| (RolloutBuffer::new(), Vec::new()))
+        .collect();
     for _ in 0..plan.rollout_len {
-        let obs = lane.env.observation();
-        let step = plan.policy.act(&obs, plan.temperature, &mut rng);
-        let mapped = plan.mapper.map(&step.choice);
-        let r = step_env(&mut lane.env, &mapped, plan.reward);
-        lane.episode_reward += r.total;
-        lane.episode_breakdown += r;
-        let done = lane.env.done();
-        buffer.push(RolloutStep {
-            obs,
-            choice: step.choice,
-            log_prob: step.log_prob,
-            value: step.value,
-            reward: r.total as f32,
-            done,
+        let obs: Vec<Vec<f32>> = lanes.iter().map(|l| l.env.observation()).collect();
+        let rows = planner.run(&obs, |batch| {
+            occupancy.record(batch.rows() as f64);
+            plan.policy
+                .forward_rows(batch, plan.temperature)
+                .unwrap_or_else(|e| panic!("policy forward failed: {e}"))
         });
-        if done {
-            episodes.push(episode_record(&lane.env, lane.episode_breakdown));
-            lane.episode_reward = 0.0;
-            lane.episode_breakdown = RewardBreakdown::default();
-            let seed = rng.gen();
-            lane.env.reset_with_seed(seed);
+        let per_lane = lanes.iter_mut().zip(rows).zip(obs).zip(&mut rngs);
+        for ((((lane, row), ob), rng), (buffer, episodes)) in per_lane.zip(&mut fragments) {
+            let step = row.sample(rng);
+            lane.advance(ob, step, plan, rng, buffer, episodes);
         }
     }
-    (buffer, episodes)
+    fragments
 }
 
 /// Merge per-lane fragments (already in lane order) into one buffer.
-fn merge(results: Vec<(RolloutBuffer, Vec<EpisodeRecord>)>) -> (RolloutBuffer, Vec<EpisodeRecord>) {
+fn merge(
+    results: impl IntoIterator<Item = (RolloutBuffer, Vec<EpisodeRecord>)>,
+) -> (RolloutBuffer, Vec<EpisodeRecord>) {
     let mut buffer = RolloutBuffer::new();
     let mut episodes = Vec::new();
     for (b, eps) in results {
@@ -206,103 +251,28 @@ fn merge(results: Vec<(RolloutBuffer, Vec<EpisodeRecord>)>) -> (RolloutBuffer, V
     (buffer, episodes)
 }
 
-/// The reference schedule: lanes walked in order on the calling thread.
-pub struct SerialRollouts {
-    lanes: Vec<Lane>,
-    cache: Option<Arc<DisplayCache>>,
-}
-
-impl SerialRollouts {
-    /// Build `n_lanes` lanes over `base` seeded from `base_seed`, sharing
-    /// a display cache of the default capacity.
-    pub fn new(base: &DataFrame, env_config: &EnvConfig, n_lanes: usize, base_seed: u64) -> Self {
-        Self::with_cache_capacity(base, env_config, n_lanes, base_seed, DEFAULT_DISPLAY_CACHE)
-    }
-
-    /// Like [`SerialRollouts::new`] with an explicit display-cache capacity
-    /// (0 runs uncached). Capacity is execution-only: it changes speed,
-    /// never transcripts.
-    pub fn with_cache_capacity(
-        base: &DataFrame,
-        env_config: &EnvConfig,
-        n_lanes: usize,
-        base_seed: u64,
-        cache_capacity: usize,
-    ) -> Self {
-        let cache = (cache_capacity > 0).then(|| Arc::new(DisplayCache::new(cache_capacity)));
-        Self {
-            lanes: make_lanes(base, env_config, n_lanes, base_seed, cache.as_ref()),
-            cache,
-        }
-    }
-
-    /// The display cache shared by this source's lanes, if enabled.
-    pub fn display_cache(&self) -> Option<&Arc<DisplayCache>> {
-        self.cache.as_ref()
-    }
-}
-
-impl RolloutSource for SerialRollouts {
-    fn collect(&mut self, plan: &RolloutPlan<'_>) -> (RolloutBuffer, Vec<EpisodeRecord>) {
-        let results = self
-            .lanes
-            .iter_mut()
-            .enumerate()
-            .map(|(lane_id, lane)| run_lane(lane, lane_id, plan))
-            .collect();
-        merge(results)
-    }
-
-    fn n_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn lane_env_mut(&mut self, lane: usize) -> &mut EdaEnv {
-        &mut self.lanes[lane].env
-    }
-
-    fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>) {
-        if let Some(cache) = &self.cache {
-            cache.reroute_telemetry(&registry);
-        }
-    }
-}
-
-/// The parallel schedule: the same lanes, sharded over a [`Runtime`].
+/// The rollout engine: lanes sharded over a [`Runtime`], each shard
+/// stepped in lockstep through batched policy forwards.
 ///
-/// Bit-identical to [`SerialRollouts`] at the same seed and lane count —
-/// `run_lane` is coordinate-seeded and the runtime merges shard results
-/// in lane order. Worker count only changes wall-clock time.
+/// Worker count, the forward row cap ([`ParallelRollouts::with_max_batch`])
+/// and the display-cache capacity are execution-only: RNG streams are
+/// per-lane and counter-derived, the forward kernels are row-independent,
+/// and shard results merge in lane order, so any setting collects the
+/// same bits. `workers = 1` is the serial schedule.
 pub struct ParallelRollouts {
     lanes: Vec<Lane>,
     runtime: Runtime,
     telemetry: Arc<MetricsRegistry>,
     cache: Option<Arc<DisplayCache>>,
+    max_batch: usize,
 }
 
 impl ParallelRollouts {
-    /// Build `n_lanes` lanes over `base` collected by `workers` threads,
-    /// sharing a display cache of the default capacity.
-    pub fn new(
-        base: &DataFrame,
-        env_config: &EnvConfig,
-        n_lanes: usize,
-        base_seed: u64,
-        workers: usize,
-    ) -> Self {
-        Self::with_cache_capacity(
-            base,
-            env_config,
-            n_lanes,
-            base_seed,
-            workers,
-            DEFAULT_DISPLAY_CACHE,
-        )
-    }
-
-    /// Like [`ParallelRollouts::new`] with an explicit display-cache
-    /// capacity (0 runs uncached). Capacity is execution-only, like the
-    /// worker count: it changes speed, never transcripts.
+    /// Build `n_lanes` lanes over `base` seeded from `base_seed`, collected
+    /// by `workers` threads and sharing a display cache of
+    /// `cache_capacity` entries (0 runs uncached). Each env step runs one
+    /// policy forward over the whole shard until
+    /// [`ParallelRollouts::with_max_batch`] caps it.
     pub fn with_cache_capacity(
         base: &DataFrame,
         env_config: &EnvConfig,
@@ -317,12 +287,15 @@ impl ParallelRollouts {
             runtime: Runtime::new(workers),
             telemetry: atena_telemetry::global_arc(),
             cache,
+            max_batch: 0,
         }
     }
 
-    /// The underlying runtime (worker count etc.).
-    pub fn runtime(&self) -> &Runtime {
-        &self.runtime
+    /// Cap each policy forward at `max_batch` rows (`0`, the default, runs
+    /// one forward over the whole shard). Execution-only.
+    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
+        self.max_batch = max_batch;
+        self
     }
 
     /// The display cache shared by this source's lanes, if enabled.
@@ -333,193 +306,19 @@ impl ParallelRollouts {
 
 impl RolloutSource for ParallelRollouts {
     fn collect(&mut self, plan: &RolloutPlan<'_>) -> (RolloutBuffer, Vec<EpisodeRecord>) {
-        let results = self.runtime.scatter(&mut self.lanes, |lane_id, lane| {
-            run_lane(lane, lane_id, plan)
-        });
-        // Per-worker environment-step throughput, attributed by shard.
-        for (w, range) in self.runtime.shards(results.len()).into_iter().enumerate() {
-            let steps: usize = results[range].iter().map(|(b, _)| b.len()).sum();
-            self.telemetry
-                .counter(&format!("runtime.worker.{w}.steps"))
-                .add(steps as u64);
-        }
-        merge(results)
-    }
-
-    fn n_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn lane_env_mut(&mut self, lane: usize) -> &mut EdaEnv {
-        &mut self.lanes[lane].env
-    }
-
-    fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>) {
-        if let Some(cache) = &self.cache {
-            cache.reroute_telemetry(&registry);
-        }
-        self.telemetry = Arc::clone(&registry);
-        self.runtime = self.runtime.clone().with_telemetry(registry);
-    }
-
-    fn scatter_profile(&self) -> Option<ScatterProfile> {
-        Some(self.runtime.last_profile())
-    }
-}
-
-/// Collect one fragment from every lane of a shard, stepping all lanes
-/// through **one batched policy forward per env step** instead of one
-/// forward per lane per step.
-///
-/// Bit-identical to running [`run_lane`] over the same lanes: each lane
-/// keeps its own counter-seeded RNG and [`crate::PolicyRow::sample`] draws
-/// from it in exactly the order the serial act path would, while the
-/// batched forward itself is row-independent (DESIGN.md §4l). The batch is
-/// purely an execution-schedule choice.
-fn run_shard_batched(
-    lanes: &mut [Lane],
-    first_lane_id: usize,
-    plan: &RolloutPlan<'_>,
-    max_batch: usize,
-    telemetry: &MetricsRegistry,
-) -> Vec<(RolloutBuffer, Vec<EpisodeRecord>)> {
-    let planner = BatchPlanner::new(plan.policy.obs_dim(), max_batch);
-    let mut rngs: Vec<StdRng> = (0..lanes.len())
-        .map(|i| {
-            StdRng::seed_from_u64(stream_seed(
-                plan.base_seed,
-                (first_lane_id + i) as u64,
-                plan.iteration,
-            ))
-        })
-        .collect();
-    let mut buffers: Vec<RolloutBuffer> = (0..lanes.len()).map(|_| RolloutBuffer::new()).collect();
-    let mut episodes: Vec<Vec<EpisodeRecord>> = (0..lanes.len()).map(|_| Vec::new()).collect();
-    for _ in 0..plan.rollout_len {
-        let obs: Vec<Vec<f32>> = lanes.iter().map(|l| l.env.observation()).collect();
-        let rows = planner.run(&obs, |batch| {
-            telemetry
-                .histogram("batch.occupancy")
-                .record(batch.rows() as f64);
-            plan.policy
-                .forward_rows(batch, plan.temperature)
-                .unwrap_or_else(|e| panic!("policy forward failed: {e}"))
-        });
-        for (i, ((lane, row), ob)) in lanes.iter_mut().zip(rows).zip(obs).enumerate() {
-            let step = row.sample(&mut rngs[i]);
-            let mapped = plan.mapper.map(&step.choice);
-            let r = step_env(&mut lane.env, &mapped, plan.reward);
-            lane.episode_reward += r.total;
-            lane.episode_breakdown += r;
-            let done = lane.env.done();
-            buffers[i].push(RolloutStep {
-                obs: ob,
-                choice: step.choice,
-                log_prob: step.log_prob,
-                value: step.value,
-                reward: r.total as f32,
-                done,
-            });
-            if done {
-                episodes[i].push(episode_record(&lane.env, lane.episode_breakdown));
-                lane.episode_reward = 0.0;
-                lane.episode_breakdown = RewardBreakdown::default();
-                let seed = rngs[i].gen();
-                lane.env.reset_with_seed(seed);
-            }
-        }
-    }
-    buffers.into_iter().zip(episodes).collect()
-}
-
-/// The lane-batched schedule: all lanes of a shard advance in lockstep,
-/// one `[lanes_in_shard, obs_dim]` policy forward per environment step
-/// (chunked at `max_batch` rows by a [`BatchPlanner`]).
-///
-/// Bit-identical to [`SerialRollouts`] at the same seed and lane count,
-/// for any `(workers, max_batch)`: RNG streams are per-lane and
-/// counter-derived, the forward kernels are row-independent, and shard
-/// results merge in lane order. Batch size is execution-only — it changes
-/// steps/sec, never transcripts — and the determinism suite pins this.
-pub struct BatchedRollouts {
-    lanes: Vec<Lane>,
-    runtime: Runtime,
-    telemetry: Arc<MetricsRegistry>,
-    cache: Option<Arc<DisplayCache>>,
-    max_batch: usize,
-}
-
-impl BatchedRollouts {
-    /// Build `n_lanes` lanes over `base` collected by `workers` threads
-    /// with at most `max_batch` rows per policy forward, sharing a display
-    /// cache of the default capacity.
-    pub fn new(
-        base: &DataFrame,
-        env_config: &EnvConfig,
-        n_lanes: usize,
-        base_seed: u64,
-        workers: usize,
-        max_batch: usize,
-    ) -> Self {
-        Self::with_cache_capacity(
-            base,
-            env_config,
-            n_lanes,
-            base_seed,
-            workers,
-            max_batch,
-            DEFAULT_DISPLAY_CACHE,
-        )
-    }
-
-    /// Like [`BatchedRollouts::new`] with an explicit display-cache
-    /// capacity (0 runs uncached).
-    pub fn with_cache_capacity(
-        base: &DataFrame,
-        env_config: &EnvConfig,
-        n_lanes: usize,
-        base_seed: u64,
-        workers: usize,
-        max_batch: usize,
-        cache_capacity: usize,
-    ) -> Self {
-        let cache = (cache_capacity > 0).then(|| Arc::new(DisplayCache::new(cache_capacity)));
-        Self {
-            lanes: make_lanes(base, env_config, n_lanes, base_seed, cache.as_ref()),
-            runtime: Runtime::new(workers),
-            telemetry: atena_telemetry::global_arc(),
-            cache,
-            max_batch: max_batch.max(1),
-        }
-    }
-
-    /// Maximum rows per batched forward.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// The display cache shared by this source's lanes, if enabled.
-    pub fn display_cache(&self) -> Option<&Arc<DisplayCache>> {
-        self.cache.as_ref()
-    }
-}
-
-impl RolloutSource for BatchedRollouts {
-    fn collect(&mut self, plan: &RolloutPlan<'_>) -> (RolloutBuffer, Vec<EpisodeRecord>) {
-        let max_batch = self.max_batch;
-        let telemetry = Arc::clone(&self.telemetry);
         let shard_results = self
             .runtime
             .scatter_shards(&mut self.lanes, |offset, shard| {
-                run_shard_batched(shard, offset, plan, max_batch, &telemetry)
+                run_shard(shard, offset, plan, self.max_batch, &self.telemetry)
             });
+        // Per-worker environment-step throughput, attributed by shard.
         for (w, fragments) in shard_results.iter().enumerate() {
             let steps: usize = fragments.iter().map(|(b, _)| b.len()).sum();
             self.telemetry
                 .counter(&format!("runtime.worker.{w}.steps"))
                 .add(steps as u64);
         }
-        merge(shard_results.into_iter().flatten().collect())
+        merge(shard_results.into_iter().flatten())
     }
 
     fn n_lanes(&self) -> usize {
@@ -598,9 +397,32 @@ mod tests {
         )
     }
 
-    fn collect_with(source: &mut dyn RolloutSource, iterations: u64) -> String {
+    /// The serial oracle: one lane at a time, one single-row `act` per
+    /// step, lane RNG streams drawn exactly as the engine draws them.
+    fn run_lane(
+        lane: &mut Lane,
+        lane_id: usize,
+        plan: &RolloutPlan<'_>,
+    ) -> (RolloutBuffer, Vec<EpisodeRecord>) {
+        let mut rng = lane_rng(plan, lane_id);
+        let mut buffer = RolloutBuffer::new();
+        let mut episodes = Vec::new();
+        for _ in 0..plan.rollout_len {
+            let obs = lane.env.observation();
+            let step = plan.policy.act(&obs, plan.temperature, &mut rng);
+            lane.advance(obs, step, plan, &mut rng, &mut buffer, &mut episodes);
+        }
+        (buffer, episodes)
+    }
+
+    /// Run `iterations` collects through `collect`, returning the debug
+    /// transcript of every buffer and episode list.
+    fn transcript(
+        iterations: u64,
+        mut collect: impl FnMut(&RolloutPlan<'_>) -> (RolloutBuffer, Vec<EpisodeRecord>),
+    ) -> String {
         let (policy, mapper, reward, _) = fixture();
-        let mut transcript = String::new();
+        let mut out = String::new();
         for iteration in 0..iterations {
             let plan = RolloutPlan {
                 policy: policy.as_ref(),
@@ -611,90 +433,72 @@ mod tests {
                 base_seed: 9,
                 iteration,
             };
-            let (buffer, episodes) = source.collect(&plan);
-            transcript.push_str(&format!("{:?}|{:?}\n", buffer.steps(), episodes));
+            let (buffer, episodes) = collect(&plan);
+            out.push_str(&format!("{:?}|{:?}\n", buffer.steps(), episodes));
         }
-        transcript
+        out
+    }
+
+    fn oracle_transcript(cache_capacity: usize) -> String {
+        let (_, _, _, env_config) = fixture();
+        let cache = (cache_capacity > 0).then(|| Arc::new(DisplayCache::new(cache_capacity)));
+        let mut lanes = make_lanes(&base(), &env_config, 4, 9, cache.as_ref());
+        transcript(3, |plan| {
+            merge(
+                lanes
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(lane_id, lane)| run_lane(lane, lane_id, plan)),
+            )
+        })
     }
 
     #[test]
-    fn serial_and_parallel_sources_are_bit_identical() {
+    fn batched_engine_is_bit_identical_to_per_lane_oracle() {
         let (_, _, _, env_config) = fixture();
         let frame = base();
-        let mut serial = SerialRollouts::new(&frame, &env_config, 4, 9);
-        let reference = collect_with(&mut serial, 3);
-        for workers in [1, 2, 4, 7] {
-            let registry = Arc::new(MetricsRegistry::new());
-            let mut parallel = ParallelRollouts::new(&frame, &env_config, 4, 9, workers);
-            parallel.set_telemetry(Arc::clone(&registry));
-            let transcript = collect_with(&mut parallel, 3);
-            assert_eq!(
-                transcript, reference,
-                "workers={workers} diverged from serial"
-            );
-            let snap = registry.snapshot();
-            let steps: u64 = (0..workers)
-                .filter_map(|w| snap.counter(&format!("runtime.worker.{w}.steps")))
-                .sum();
-            assert_eq!(steps, 3 * 4 * 24, "workers={workers} step accounting");
-        }
-    }
-
-    #[test]
-    fn batched_source_is_bit_identical_to_serial() {
-        let (_, _, _, env_config) = fixture();
-        let frame = base();
-        let mut serial = SerialRollouts::new(&frame, &env_config, 4, 9);
-        let reference = collect_with(&mut serial, 3);
-        for max_batch in [1, 4, 8] {
-            for workers in [1, 4] {
-                let registry = Arc::new(MetricsRegistry::new());
-                let mut batched =
-                    BatchedRollouts::new(&frame, &env_config, 4, 9, workers, max_batch);
-                batched.set_telemetry(Arc::clone(&registry));
-                let transcript = collect_with(&mut batched, 3);
-                assert_eq!(
-                    transcript, reference,
-                    "batch={max_batch} workers={workers} diverged from serial"
-                );
-                let snap = registry.snapshot();
-                let steps: u64 = (0..workers)
-                    .filter_map(|w| snap.counter(&format!("runtime.worker.{w}.steps")))
-                    .sum();
-                assert_eq!(
-                    steps,
-                    3 * 4 * 24,
-                    "batch={max_batch} workers={workers} step accounting"
-                );
-                let occ = snap
-                    .histogram("batch.occupancy")
-                    .expect("occupancy recorded");
-                assert!(occ.count > 0, "no occupancy samples");
-                let lanes_per_shard = 4usize.div_ceil(workers.min(4));
-                let expect_max = lanes_per_shard.min(max_batch) as f64;
-                assert_eq!(
-                    occ.max, expect_max,
-                    "batch={max_batch} workers={workers} occupancy"
-                );
+        for cache in [0, 1024] {
+            let reference = oracle_transcript(cache);
+            for workers in [1, 2, 4, 7] {
+                for max_batch in [0, 1, 4, 8] {
+                    let label = format!("workers={workers} max_batch={max_batch} cache={cache}");
+                    let registry = Arc::new(MetricsRegistry::new());
+                    let mut engine = ParallelRollouts::with_cache_capacity(
+                        &frame,
+                        &env_config,
+                        4,
+                        9,
+                        workers,
+                        cache,
+                    )
+                    .with_max_batch(max_batch);
+                    engine.set_telemetry(Arc::clone(&registry));
+                    assert_eq!(engine.display_cache().is_some(), cache > 0, "{label}");
+                    let got = transcript(3, |plan| engine.collect(plan));
+                    assert_eq!(got, reference, "{label} diverged from the oracle");
+                    let snap = registry.snapshot();
+                    let steps: u64 = (0..workers)
+                        .filter_map(|w| snap.counter(&format!("runtime.worker.{w}.steps")))
+                        .sum();
+                    assert_eq!(steps, 3 * 4 * 24, "{label} step accounting");
+                    let occ = snap
+                        .histogram("batch.occupancy")
+                        .expect("occupancy recorded");
+                    let lanes_per_shard = 4usize.div_ceil(workers.min(4));
+                    let expect_max = match max_batch {
+                        0 => lanes_per_shard,
+                        cap => lanes_per_shard.min(cap),
+                    };
+                    assert_eq!(occ.max, expect_max as f64, "{label} occupancy");
+                }
             }
         }
     }
 
     #[test]
-    fn batched_source_with_cache_off_matches_serial() {
-        let (_, _, _, env_config) = fixture();
-        let frame = base();
-        let mut serial = SerialRollouts::with_cache_capacity(&frame, &env_config, 4, 9, 0);
-        let reference = collect_with(&mut serial, 2);
-        let mut batched = BatchedRollouts::with_cache_capacity(&frame, &env_config, 4, 9, 2, 4, 0);
-        assert!(batched.display_cache().is_none());
-        assert_eq!(collect_with(&mut batched, 2), reference);
-    }
-
-    #[test]
     fn lane_fleet_shares_one_base_frame() {
         let (_, _, _, env_config) = fixture();
-        let source = SerialRollouts::new(&base(), &env_config, 6, 1);
+        let source = ParallelRollouts::with_cache_capacity(&base(), &env_config, 6, 1, 1, 0);
         assert_eq!(source.n_lanes(), 6);
         // All lanes observe the same dataset through the same Arc.
         let rows = source.lanes[0].env.base().n_rows();

@@ -1,17 +1,15 @@
-//! The training loop: a deterministic rollout source (serial or sharded
-//! over the `atena-runtime` worker pool — see DESIGN.md §4h) feeding the
-//! PPO learner, with mean-episode-reward tracking for the convergence
-//! experiments (Figure 5) and best-episode extraction for notebook
-//! generation. Worker count changes wall-clock speed only: at a fixed
-//! seed the `TrainLog` is bit-identical for any `n_workers`.
+//! The training loop: the deterministic rollout engine (lanes sharded over
+//! the `atena-runtime` worker pool and stepped through batched policy
+//! forwards — see DESIGN.md §4h) feeding the PPO learner, with
+//! mean-episode-reward tracking for the convergence experiments (Figure 5)
+//! and best-episode extraction for notebook generation. Worker count and
+//! forward row cap change wall-clock speed only: at a fixed seed the
+//! `TrainLog` is bit-identical for any `n_workers` and `batch_lanes`.
 
 use crate::policy::{ActionMapper, Policy};
 use crate::ppo::{PpoConfig, PpoLearner, UpdateStats};
 use crate::rollout::RolloutBuffer;
-use crate::source::{
-    episode_record, step_env, BatchedRollouts, ParallelRollouts, RolloutPlan, RolloutSource,
-    SerialRollouts,
-};
+use crate::source::{episode_record, step_env, ParallelRollouts, RolloutPlan, RolloutSource};
 use atena_dataframe::DataFrame;
 use atena_env::{EnvConfig, ResolvedOp, RewardBreakdown, RewardModel};
 use atena_runtime::{stream_seed, STREAM_EVAL};
@@ -51,10 +49,9 @@ pub struct TrainerConfig {
     pub eval_window: usize,
     /// Master seed.
     pub seed: u64,
-    /// Rows per batched policy forward during rollouts. `0` (the default)
-    /// keeps the per-lane serial/parallel sources; `>= 1` selects the
-    /// lane-batched source, stepping each shard's lanes through one
-    /// `[lanes, obs_dim]` forward per env step, chunked at this size.
+    /// Row cap of the batched policy forward that steps each shard's lanes
+    /// per env step. `0` (the default) runs one `[lanes, obs_dim]` forward
+    /// over the whole shard; `>= 1` chunks it at this many rows.
     /// Execution-only, like `n_workers`: any value produces bit-identical
     /// results at the same seed (DESIGN.md §4l).
     pub batch_lanes: usize,
@@ -130,7 +127,7 @@ pub struct Trainer {
     reward: Arc<dyn RewardModel>,
     learner: PpoLearner,
     config: TrainerConfig,
-    source: Box<dyn RolloutSource>,
+    source: ParallelRollouts,
     rng: StdRng,
     eval_rng: StdRng,
     recent_episodes: Vec<f64>,
@@ -143,9 +140,9 @@ pub struct Trainer {
 }
 
 impl Trainer {
-    /// Create a trainer. The lane fleet shares one copy of the dataset;
-    /// `config.n_workers` picks the serial or parallel rollout source
-    /// (which, per the determinism contract, does not affect results).
+    /// Create a trainer. The lane fleet shares one copy of the dataset and
+    /// is collected by `config.n_workers` threads (which, per the
+    /// determinism contract, does not affect results).
     pub fn new(
         policy: Arc<dyn Policy>,
         mapper: ActionMapper,
@@ -155,35 +152,15 @@ impl Trainer {
         config: TrainerConfig,
     ) -> Self {
         let learner = PpoLearner::new(policy.as_ref(), config.ppo);
-        let n_lanes = config.n_lanes.max(1);
-        let source: Box<dyn RolloutSource> = if config.batch_lanes > 0 {
-            Box::new(BatchedRollouts::with_cache_capacity(
-                base,
-                &env_config,
-                n_lanes,
-                config.seed,
-                config.n_workers.max(1),
-                config.batch_lanes,
-                config.display_cache,
-            ))
-        } else if config.n_workers <= 1 {
-            Box::new(SerialRollouts::with_cache_capacity(
-                base,
-                &env_config,
-                n_lanes,
-                config.seed,
-                config.display_cache,
-            ))
-        } else {
-            Box::new(ParallelRollouts::with_cache_capacity(
-                base,
-                &env_config,
-                n_lanes,
-                config.seed,
-                config.n_workers,
-                config.display_cache,
-            ))
-        };
+        let source = ParallelRollouts::with_cache_capacity(
+            base,
+            &env_config,
+            config.n_lanes,
+            config.seed,
+            config.n_workers,
+            config.display_cache,
+        )
+        .with_max_batch(config.batch_lanes);
         Self {
             policy,
             mapper,

@@ -2,13 +2,13 @@
 //!
 //! This crate is the thin layer between "I have N independent pieces of
 //! work" and "I have N cores": a [`Runtime`] splits an item slice into
-//! contiguous shards, runs each shard on its own std thread, and merges
-//! the per-item results back **in item order**. Because results are keyed
-//! by item index — never by which thread produced them or when — the
-//! output of [`Runtime::scatter`] is identical for any worker count,
-//! including the inline single-worker path. Thread scheduling can change
-//! *when* an item is processed, never *what* it computes or *where* its
-//! result lands.
+//! contiguous shards, runs each shard on its own std thread, and returns
+//! the per-shard results **in shard order**. Because the split depends
+//! only on the item count and results are keyed by shard — never by which
+//! thread produced them or when — [`Runtime::scatter_shards`] lays out its
+//! output the same way on every run, including the inline single-worker
+//! path. Thread scheduling can change *when* an item is processed, never
+//! *what* it computes or *where* its result lands.
 //!
 //! The second half of the determinism contract is randomness:
 //! [`stream_seed`] derives an independent RNG stream from
@@ -40,10 +40,10 @@ pub struct WorkerProfile {
     pub busy_secs: f64,
 }
 
-/// Timing profile of a [`Runtime::scatter`] call: exact per-worker busy
-/// times plus the fixed-order merge cost. Consumers (the trainer's span
-/// emission, bench reports) read it *after* the scatter returns, so the
-/// profile never feeds back into scheduling or results — it is
+/// Timing profile of a [`Runtime::scatter_shards`] call: exact per-worker
+/// busy times plus the fixed-order merge cost. Consumers (the trainer's
+/// span emission, bench reports) read it *after* the scatter returns, so
+/// the profile never feeds back into scheduling or results — it is
 /// execution-only observability.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScatterProfile {
@@ -109,8 +109,8 @@ pub fn default_workers() -> usize {
 /// A fixed-width pool of scatter workers.
 ///
 /// The worker count is an execution parameter only: it bounds how many
-/// threads a [`scatter`](Runtime::scatter) call uses, and it never
-/// appears in any result. `Runtime::new(1)` runs everything inline on
+/// threads a [`scatter_shards`](Runtime::scatter_shards) call uses, and it
+/// never appears in any result. `Runtime::new(1)` runs everything inline on
 /// the calling thread (no spawn overhead), which doubles as the
 /// reference serial schedule the parallel schedules must match.
 #[derive(Clone)]
@@ -139,9 +139,9 @@ impl Runtime {
         }
     }
 
-    /// Timing profile of the most recent [`Runtime::scatter`] call (empty
-    /// `workers` before the first call). Clones of a runtime share one
-    /// profile slot.
+    /// Timing profile of the most recent [`Runtime::scatter_shards`] call
+    /// (empty `workers` before the first call). Clones of a runtime share
+    /// one profile slot.
     pub fn last_profile(&self) -> ScatterProfile {
         self.profile
             .lock()
@@ -183,103 +183,16 @@ impl Runtime {
         out
     }
 
-    /// Apply `f` to every item and return the results **in item order**.
-    ///
-    /// `f` receives `(item_index, &mut item)`; the index is the item's
-    /// position in `items`, independent of which worker runs it. Items
-    /// are mutated in place (each worker owns a disjoint sub-slice, so
-    /// there is no sharing), and `results[i]` is always `f`'s return for
-    /// `items[i]`. With one worker — or one item — everything runs
-    /// inline on the calling thread.
-    pub fn scatter<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut T) -> R + Sync,
-    {
-        let shards = self.shards(items.len());
-        self.telemetry
-            .gauge("runtime.workers")
-            .set(self.workers as f64);
-        self.telemetry.counter("runtime.scatter.calls").inc();
-        if shards.len() <= 1 {
-            let busy = Instant::now();
-            let out: Vec<R> = items
-                .iter_mut()
-                .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect();
-            let busy_secs = busy.elapsed().as_secs_f64();
-            self.record_worker(0, out.len(), busy_secs);
-            self.telemetry.histogram("runtime.merge_secs").record(0.0);
-            *self.profile.lock().expect("runtime profile poisoned") = ScatterProfile {
-                workers: vec![WorkerProfile {
-                    items: out.len(),
-                    busy_secs,
-                }],
-                merge_secs: 0.0,
-            };
-            return out;
-        }
-
-        let mut results: Vec<R> = Vec::with_capacity(items.len());
-        std::thread::scope(|scope| {
-            let f = &f;
-            let mut rest = items;
-            let mut handles = Vec::with_capacity(shards.len());
-            for range in &shards {
-                let (shard, tail) = rest.split_at_mut(range.len());
-                rest = tail;
-                let offset = range.start;
-                handles.push(scope.spawn(move || {
-                    let busy = Instant::now();
-                    let out: Vec<R> = shard
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(j, item)| f(offset + j, item))
-                        .collect();
-                    (out, busy.elapsed().as_secs_f64())
-                }));
-            }
-            // Joining in spawn order is the fixed-order merge: worker w's
-            // fragment always lands at shard w's offsets, so the
-            // concatenation below is item-ordered by construction.
-            let fragments: Vec<(Vec<R>, f64)> = handles
-                .into_iter()
-                .map(|h| h.join().expect("runtime worker panicked"))
-                .collect();
-            let merge = Instant::now();
-            let mut worker_profiles = Vec::with_capacity(fragments.len());
-            for (w, (fragment, busy_secs)) in fragments.into_iter().enumerate() {
-                self.record_worker(w, fragment.len(), busy_secs);
-                worker_profiles.push(WorkerProfile {
-                    items: fragment.len(),
-                    busy_secs,
-                });
-                results.extend(fragment);
-            }
-            let merge_secs = merge.elapsed().as_secs_f64();
-            self.telemetry
-                .histogram("runtime.merge_secs")
-                .record(merge_secs);
-            *self.profile.lock().expect("runtime profile poisoned") = ScatterProfile {
-                workers: worker_profiles,
-                merge_secs,
-            };
-        });
-        results
-    }
-
     /// Apply `f` once per shard — `f(shard_start, shard_slice)` — and
     /// return the per-shard results **in shard order**.
     ///
-    /// Where [`Runtime::scatter`] hands a worker one item at a time, this
-    /// hands it its whole contiguous slice, letting the callee process the
-    /// shard collectively (the lane-batched rollout source steps all lanes
-    /// of a shard through one batched forward per env step). The split is
+    /// Each worker gets its whole contiguous slice, so the callee can
+    /// process the shard collectively (the rollout engine steps all lanes
+    /// of a shard through one batched forward per env step) and mutate its
+    /// items in place; no two workers share an item. The split is
     /// [`Runtime::shards`], so which items a shard covers — and therefore
     /// the result layout — depends only on `(items.len(), workers)`, never
-    /// on scheduling.
+    /// on scheduling. A single shard runs inline on the calling thread.
     pub fn scatter_shards<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
     where
         T: Send,
@@ -291,64 +204,49 @@ impl Runtime {
             .gauge("runtime.workers")
             .set(self.workers as f64);
         self.telemetry.counter("runtime.scatter.calls").inc();
-        if shards.len() <= 1 {
-            let n = items.len();
+        let run = |offset: usize, shard: &mut [T]| {
             let busy = Instant::now();
-            let out = if n == 0 {
-                Vec::new()
-            } else {
-                vec![f(0, items)]
-            };
+            let items = shard.len();
+            let out = f(offset, shard);
             let busy_secs = busy.elapsed().as_secs_f64();
-            self.record_worker(0, n, busy_secs);
-            self.telemetry.histogram("runtime.merge_secs").record(0.0);
-            *self.profile.lock().expect("runtime profile poisoned") = ScatterProfile {
-                workers: vec![WorkerProfile {
-                    items: n,
-                    busy_secs,
-                }],
-                merge_secs: 0.0,
-            };
-            return out;
+            (out, WorkerProfile { items, busy_secs })
+        };
+        let fragments: Vec<(R, WorkerProfile)> = match shards.len() {
+            0 => Vec::new(),
+            1 => vec![run(0, items)],
+            _ => std::thread::scope(|scope| {
+                let run = &run;
+                let mut rest = items;
+                let mut handles = Vec::with_capacity(shards.len());
+                for range in &shards {
+                    let (shard, tail) = rest.split_at_mut(range.len());
+                    rest = tail;
+                    let offset = range.start;
+                    handles.push(scope.spawn(move || run(offset, shard)));
+                }
+                // Join in spawn order: result w is always shard w's.
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("runtime worker panicked"))
+                    .collect()
+            }),
+        };
+        let merge = Instant::now();
+        let mut results = Vec::with_capacity(fragments.len());
+        let mut workers = Vec::with_capacity(fragments.len());
+        for (w, (out, profile)) in fragments.into_iter().enumerate() {
+            self.record_worker(w, profile.items, profile.busy_secs);
+            workers.push(profile);
+            results.push(out);
         }
-
-        let mut results: Vec<R> = Vec::with_capacity(shards.len());
-        std::thread::scope(|scope| {
-            let f = &f;
-            let mut rest = items;
-            let mut handles = Vec::with_capacity(shards.len());
-            for range in &shards {
-                let (shard, tail) = rest.split_at_mut(range.len());
-                rest = tail;
-                let offset = range.start;
-                handles.push(scope.spawn(move || {
-                    let busy = Instant::now();
-                    let n = shard.len();
-                    let out = f(offset, shard);
-                    (out, n, busy.elapsed().as_secs_f64())
-                }));
-            }
-            // Join in spawn order: result w is always shard w's.
-            let fragments: Vec<(R, usize, f64)> = handles
-                .into_iter()
-                .map(|h| h.join().expect("runtime worker panicked"))
-                .collect();
-            let merge = Instant::now();
-            let mut worker_profiles = Vec::with_capacity(fragments.len());
-            for (w, (out, items, busy_secs)) in fragments.into_iter().enumerate() {
-                self.record_worker(w, items, busy_secs);
-                worker_profiles.push(WorkerProfile { items, busy_secs });
-                results.push(out);
-            }
-            let merge_secs = merge.elapsed().as_secs_f64();
-            self.telemetry
-                .histogram("runtime.merge_secs")
-                .record(merge_secs);
-            *self.profile.lock().expect("runtime profile poisoned") = ScatterProfile {
-                workers: worker_profiles,
-                merge_secs,
-            };
-        });
+        let merge_secs = merge.elapsed().as_secs_f64();
+        self.telemetry
+            .histogram("runtime.merge_secs")
+            .record(merge_secs);
+        *self.profile.lock().expect("runtime profile poisoned") = ScatterProfile {
+            workers,
+            merge_secs,
+        };
         results
     }
 
@@ -460,100 +358,73 @@ mod tests {
 
     #[test]
     fn scatter_shards_covers_items_in_order_for_any_worker_count() {
+        let reference: Vec<u64> = (0..23).map(splitmix64).collect();
         for workers in [1, 2, 3, 4, 8, 23, 64] {
             let telemetry = Arc::new(MetricsRegistry::new());
             let rt = Runtime::new(workers).with_telemetry(Arc::clone(&telemetry));
             let mut items: Vec<u64> = (0..23).collect();
             let fragments = rt.scatter_shards(&mut items, |offset, shard| {
+                let mut out = Vec::new();
                 for (i, item) in shard.iter_mut().enumerate() {
                     // each worker sees the item the offset claims it does
                     assert_eq!(*item, (offset + i) as u64);
                     *item += 100;
+                    out.push(splitmix64((offset + i) as u64));
                 }
-                (offset, shard.len())
+                (offset, out)
             });
             // Fragments come back in shard order and tile 0..23 exactly.
             let mut next = 0usize;
-            for &(offset, len) in &fragments {
-                assert_eq!(offset, next);
-                next += len;
+            for (offset, out) in &fragments {
+                assert_eq!(*offset, next);
+                next += out.len();
             }
             assert_eq!(next, 23);
             assert_eq!(fragments.len(), rt.shards(23).len());
+            let flat: Vec<u64> = fragments.into_iter().flat_map(|(_, out)| out).collect();
+            assert_eq!(flat, reference, "workers={workers}");
             // Mutations landed on the right items.
             let expect: Vec<u64> = (100..123).collect();
             assert_eq!(items, expect);
-            assert_eq!(telemetry.counter("runtime.scatter.calls").get(), 1);
-            let profile = rt.last_profile();
-            assert_eq!(profile.workers.len(), fragments.len());
-            assert_eq!(profile.workers.iter().map(|w| w.items).sum::<usize>(), 23);
+            // Per-worker telemetry accounts for every item, once.
+            let snap = telemetry.snapshot();
+            let counted: u64 = (0..rt.shards(23).len())
+                .map(|w| snap.counter(&format!("runtime.worker.{w}.items")).unwrap())
+                .sum();
+            assert_eq!(counted, 23, "workers={workers}");
+            assert_eq!(snap.counter("runtime.scatter.calls"), Some(1));
+            assert_eq!(telemetry.histogram("runtime.merge_secs").count(), 1);
         }
     }
 
     #[test]
-    fn scatter_shards_empty_input_yields_no_fragments() {
-        let rt = Runtime::new(4).with_telemetry(Arc::new(MetricsRegistry::new()));
-        let mut items: Vec<u32> = Vec::new();
-        let out: Vec<usize> = rt.scatter_shards(&mut items, |_, shard| shard.len());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn scatter_preserves_item_order_for_any_worker_count() {
-        let reference: Vec<u64> = (0..23).map(|i| splitmix64(i as u64)).collect();
-        for workers in [1, 2, 3, 4, 8, 23, 64] {
-            let rt = Runtime::new(workers).with_telemetry(Arc::new(MetricsRegistry::new()));
-            let mut items: Vec<u64> = (0..23).collect();
-            let out = rt.scatter(&mut items, |i, item| {
-                *item += 1; // mutation must also land on the right item
-                splitmix64(i as u64)
-            });
-            assert_eq!(out, reference, "workers={workers}");
-            assert_eq!(items, (1..=23).collect::<Vec<u64>>());
-        }
-    }
-
-    #[test]
-    fn scatter_records_per_worker_telemetry() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let rt = Runtime::new(4).with_telemetry(Arc::clone(&registry));
-        let mut items: Vec<usize> = (0..10).collect();
-        rt.scatter(&mut items, |i, _| i);
-        let snap = registry.snapshot();
-        let total: u64 = (0..4)
-            .map(|w| snap.counter(&format!("runtime.worker.{w}.items")).unwrap())
-            .sum();
-        assert_eq!(total, 10);
-        assert_eq!(snap.counter("runtime.scatter.calls"), Some(1));
-        assert!(registry.histogram("runtime.merge_secs").count() >= 1);
-    }
-
-    #[test]
-    fn scatter_profile_reports_exact_worker_shares() {
+    fn scatter_shards_profile_reports_exact_worker_shares() {
         let rt = Runtime::new(4).with_telemetry(Arc::new(MetricsRegistry::new()));
         assert!(rt.last_profile().workers.is_empty(), "no scatter yet");
         let mut items: Vec<usize> = (0..10).collect();
-        rt.scatter(&mut items, |i, _| i);
+        rt.scatter_shards(&mut items, |_, shard| shard.len());
         let profile = rt.last_profile();
-        assert_eq!(profile.workers.len(), 4);
-        assert_eq!(profile.workers.iter().map(|w| w.items).sum::<usize>(), 10);
+        let items_per_worker: Vec<usize> = profile.workers.iter().map(|w| w.items).collect();
+        assert_eq!(items_per_worker, vec![3, 3, 2, 2]);
         assert!(profile.workers.iter().all(|w| w.busy_secs >= 0.0));
         assert!(profile.merge_secs >= 0.0);
         // Clones share the profile slot; the serial path also records one.
         let serial = Runtime::new(1).with_telemetry(Arc::new(MetricsRegistry::new()));
         let clone = serial.clone();
-        serial.scatter(&mut items, |i, _| i);
+        serial.scatter_shards(&mut items, |_, shard| shard.len());
         assert_eq!(clone.last_profile().workers.len(), 1);
         assert_eq!(clone.last_profile().workers[0].items, 10);
     }
 
     #[test]
-    fn scatter_handles_empty_and_single_item() {
+    fn scatter_shards_handles_empty_and_single_item() {
         let rt = Runtime::new(4).with_telemetry(Arc::new(MetricsRegistry::new()));
-        let mut none: Vec<u8> = Vec::new();
-        assert!(rt.scatter(&mut none, |_, _| 0u8).is_empty());
+        let mut none: Vec<u32> = Vec::new();
+        let out: Vec<usize> = rt.scatter_shards(&mut none, |_, shard| shard.len());
+        assert!(out.is_empty());
         let mut one = vec![7u8];
-        assert_eq!(rt.scatter(&mut one, |i, v| (i, *v)), vec![(0, 7)]);
+        let out = rt.scatter_shards(&mut one, |offset, shard| (offset, shard.to_vec()));
+        assert_eq!(out, vec![(0, vec![7])]);
     }
 
     #[test]
