@@ -179,8 +179,8 @@ fn run(config: &Config) -> i32 {
     };
 
     // Offline references: the exact bytes the server must return. The
-    // offline engine decodes serially; the server microbatches — the
-    // determinism contract says the bytes cannot differ.
+    // server decodes concurrently on its pool — the determinism contract
+    // says the bytes cannot differ.
     let episode_len = 4usize.min(atena_server::MAX_EPISODE_LEN);
     let reference = |seed: u64| -> Result<(String, String), String> {
         let request = offline
@@ -214,8 +214,6 @@ fn run(config: &Config) -> i32 {
         workers: 4,
         cache_size: 8,
         request_timeout,
-        max_batch: 4,
-        batch_window: Duration::from_millis(1),
         registry: atena_registry::RegistryConfig {
             budget_bytes: 16 * 1024,
             max_datasets: 8,
@@ -354,7 +352,6 @@ fn run(config: &Config) -> i32 {
         "server.http.write_errors",
         "server.pool.panics",
         "server.connections",
-        "batch.flush.aborted",
         "admission.rejected",
         "registry.uploads",
         "registry.evictions",

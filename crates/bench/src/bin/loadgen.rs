@@ -29,17 +29,6 @@
 //! per-tenant quantiles show whether the quiet tenants kept their latency.
 //! `--bench-out` persists `BENCH_multitenant.json` (`bench:
 //! "loadgen-mixed"`).
-//!
-//! ## Batch-sweep mode (`--checkpoint B.json --batch-sizes 1,4,8`)
-//!
-//! Self-hosting sweep over the server's `--max-batch` knob: for each batch
-//! size, an in-process server is spawned from the checkpoint on an
-//! ephemeral port (response cache off, so every request decodes and the
-//! microbatch queue actually coalesces), hammered with the closed-loop
-//! driver, and shut down. Responses must be identical within a run *and*
-//! across batch sizes — batching is execution-only (DESIGN.md §4l).
-//! `--batch-bench-out` persists `BENCH_batch_serving.json` (`bench:
-//! "loadgen-batch"`) with per-batch QPS and latency quantiles.
 
 use atena_bench::chaos::quantile;
 use std::io::{Read, Write};
@@ -62,9 +51,6 @@ struct Config {
     rate: f64,
     hog_factor: f64,
     upload_csv: Option<String>,
-    checkpoint: Option<String>,
-    batch_sizes: Vec<usize>,
-    batch_bench_out: Option<String>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,9 +74,6 @@ impl Default for Config {
             rate: 20.0,
             hog_factor: 1.0,
             upload_csv: None,
-            checkpoint: None,
-            batch_sizes: vec![1, 4, 8],
-            batch_bench_out: None,
         }
     }
 }
@@ -129,19 +112,11 @@ USAGE:
   loadgen --mode mixed [--tenants N] [--rate R] [--hog-factor F]
           [--upload-csv data.csv] [--requests N] [--addr A]
           [--episode-len N] [--bench-out BENCH_multitenant.json]
-  loadgen --checkpoint BUNDLE.json [--batch-sizes 1,4,8]
-          [--requests N] [--concurrency N] [--episode-len N] [--seed N]
-          [--batch-bench-out BENCH_batch_serving.json]
 
 Mixed mode is open-loop: each tenant sends at R req/s on its own
 schedule; latency is measured from the scheduled send time. Tenant 0's
 rate is multiplied by --hog-factor; 429 responses are counted, not
 fatal.
-
-With --checkpoint, loadgen self-hosts: for each --batch-sizes entry it
-spawns an in-process server (response cache off) with that --max-batch,
-runs the closed-loop sweep, and requires identical responses across all
-batch sizes (batching is execution-only, DESIGN.md §4l).
 ";
 
 fn parse_args(args: &[String]) -> Result<Config, String> {
@@ -212,26 +187,9 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
                     .ok_or_else(|| "--hog-factor expects a number >= 1".to_string())?
             }
             "--upload-csv" => config.upload_csv = Some(value.clone()),
-            "--checkpoint" => config.checkpoint = Some(value.clone()),
-            "--batch-sizes" => {
-                config.batch_sizes = value
-                    .split(',')
-                    .map(|b| {
-                        b.trim()
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|b| *b > 0)
-                            .ok_or_else(|| "--batch-sizes expects positive integers".to_string())
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--batch-bench-out" => config.batch_bench_out = Some(value.clone()),
             other => return Err(format!("unknown option {other:?}\n\n{USAGE}")),
         }
         i += 2;
-    }
-    if config.batch_sizes.is_empty() {
-        return Err("--batch-sizes needs at least one batch size".into());
     }
     Ok(config)
 }
@@ -625,200 +583,6 @@ fn run_mixed(config: &Config) -> i32 {
     0
 }
 
-// ---- self-hosted batch sweep -------------------------------------------
-
-/// Per-batch-size outcome of the self-hosted sweep.
-#[derive(serde::Serialize)]
-struct BatchServingSweep {
-    max_batch: usize,
-    qps: f64,
-    speedup_vs_batch1: f64,
-    mean_occupancy: f64,
-    queue_wait_p95_us: f64,
-    latency: LatencyRecord,
-}
-
-/// The persisted `BENCH_batch_serving.json` schema (`version` guards
-/// consumers against silent shape drift).
-#[derive(serde::Serialize)]
-struct BatchServingRecord {
-    version: u32,
-    bench: &'static str,
-    dataset: String,
-    requests: usize,
-    concurrency: usize,
-    sweeps: Vec<BatchServingSweep>,
-    identical_across_batches: bool,
-}
-
-/// Spawn one in-process server per batch size, run the closed-loop sweep
-/// against each, and require bit-identical responses across all batch
-/// sizes. Returns the process exit code.
-fn run_batch_sweep(config: &Config) -> i32 {
-    let path = config.checkpoint.as_deref().expect("checkpoint is set");
-    let bundle = match atena_core::PolicyBundle::load(std::path::Path::new(path)) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot load checkpoint {path}: {e}");
-            return 2;
-        }
-    };
-    let Some(dataset) = atena_data::dataset_by_id(&bundle.dataset) else {
-        eprintln!(
-            "checkpoint was trained on dataset {:?}, which is not built in",
-            bundle.dataset
-        );
-        return 2;
-    };
-    println!(
-        "batch sweep: {} requests × {} connections per batch size {:?} (response cache off)",
-        config.requests, config.concurrency, config.batch_sizes
-    );
-    let mut sweeps: Vec<BatchServingSweep> = Vec::new();
-    let mut reference_body: Option<String> = None;
-    let mut identical = true;
-    for &max_batch in &config.batch_sizes {
-        let engine = match atena_server::Engine::new(bundle.clone(), dataset.frame.clone()) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("cannot build engine: {e}");
-                return 2;
-            }
-        };
-        let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
-        let server = match atena_server::Server::bind_with_telemetry(
-            atena_server::ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                workers: config.concurrency.max(2),
-                cache_size: 0, // every request decodes — the batcher's food
-                max_batch,
-                ..Default::default()
-            },
-            engine,
-            Arc::clone(&telemetry),
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot bind server for max_batch={max_batch}: {e}");
-                return 1;
-            }
-        };
-        let addr = server.local_addr().expect("bound server has an address");
-        let handle = server.spawn().expect("server thread spawns");
-
-        let mut sweep_config = config.clone();
-        sweep_config.addr = addr.to_string();
-        // The server only serves the dataset its policy was trained on.
-        sweep_config.dataset = bundle.dataset.clone();
-        let body = request_body(&sweep_config);
-        let raw_request = format!(
-            "POST /v1/notebook HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .into_bytes();
-        let remaining = Arc::new(AtomicUsize::new(config.requests));
-        let started = Instant::now();
-        let workers: Vec<_> = (0..config.concurrency)
-            .map(|_| {
-                let sweep_config = sweep_config.clone();
-                let raw_request = raw_request.clone();
-                let remaining = Arc::clone(&remaining);
-                std::thread::spawn(move || worker(&sweep_config, &raw_request, &remaining))
-            })
-            .collect();
-        let mut latencies = Vec::new();
-        let mut bodies: Vec<String> = Vec::new();
-        for w in workers {
-            match w.join().expect("worker panicked") {
-                Ok((lat, bod, _hits)) => {
-                    latencies.extend(lat);
-                    bodies.extend(bod);
-                }
-                Err(e) => {
-                    eprintln!("max_batch={max_batch} worker error: {e}");
-                    handle.shutdown();
-                    return 1;
-                }
-            }
-        }
-        let elapsed = started.elapsed();
-        let snap = telemetry.snapshot();
-        handle.shutdown();
-
-        if latencies.is_empty() {
-            eprintln!("max_batch={max_batch}: no successful requests");
-            return 1;
-        }
-        // Identity within the run *and* against the other batch sizes:
-        // every request is identical, so every response must be too.
-        let reference = reference_body.get_or_insert_with(|| bodies[0].clone());
-        let divergent = bodies.iter().filter(|b| *b != reference).count();
-        if divergent > 0 {
-            eprintln!("max_batch={max_batch}: {divergent} responses diverged");
-            identical = false;
-        }
-        latencies.sort();
-        let total: Duration = latencies.iter().sum();
-        let qps = latencies.len() as f64 / elapsed.as_secs_f64().max(1e-9);
-        let base_qps = sweeps.first().map_or(qps, |s| s.qps);
-        let occupancy = snap.histogram("batch.occupancy");
-        let sweep = BatchServingSweep {
-            max_batch,
-            qps,
-            speedup_vs_batch1: qps / base_qps.max(1e-9),
-            mean_occupancy: occupancy.map_or(0.0, |o| o.mean),
-            queue_wait_p95_us: snap.histogram("batch.queue_wait_us").map_or(0.0, |q| q.p95),
-            latency: LatencyRecord {
-                mean_ms: total.as_secs_f64() * 1e3 / latencies.len() as f64,
-                p50_ms: quantile(&latencies, 0.50).as_secs_f64() * 1e3,
-                p95_ms: quantile(&latencies, 0.95).as_secs_f64() * 1e3,
-                p99_ms: quantile(&latencies, 0.99).as_secs_f64() * 1e3,
-            },
-        };
-        println!(
-            "max_batch={max_batch:<3} qps {:>8.1}  speedup {:>5.2}×  occupancy {:>5.2}  \
-             p50 {:>8.3} ms  p95 {:>8.3} ms  p99 {:>8.3} ms",
-            sweep.qps,
-            sweep.speedup_vs_batch1,
-            sweep.mean_occupancy,
-            sweep.latency.p50_ms,
-            sweep.latency.p95_ms,
-            sweep.latency.p99_ms
-        );
-        sweeps.push(sweep);
-    }
-    if identical {
-        println!(
-            "batch determinism: OK — responses identical across batch sizes {:?}",
-            config.batch_sizes
-        );
-    }
-    if let Some(path) = &config.batch_bench_out {
-        let record = BatchServingRecord {
-            version: 1,
-            bench: "loadgen-batch",
-            dataset: bundle.dataset.clone(),
-            requests: config.requests,
-            concurrency: config.concurrency,
-            sweeps,
-            identical_across_batches: identical,
-        };
-        match atena_bench::dump_json_to(std::path::Path::new(path), &record) {
-            Ok(()) => println!("batch bench record written to {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                return 1;
-            }
-        }
-    }
-    if identical {
-        0
-    } else {
-        1
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let config = match parse_args(&args) {
@@ -828,9 +592,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if config.checkpoint.is_some() {
-        std::process::exit(run_batch_sweep(&config));
-    }
     if config.mode == Mode::Mixed {
         std::process::exit(run_mixed(&config));
     }

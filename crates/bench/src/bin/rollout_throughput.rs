@@ -24,8 +24,6 @@
 //! Note: the speedup column only shows >1 on multi-core machines; the
 //! determinism check is meaningful everywhere.
 
-use atena_batch::BatchPlanner;
-use atena_bench::chaos::quantile;
 use atena_bench::{f2, finish_telemetry, init_telemetry, render_table};
 use atena_core::{Atena, AtenaConfig, Strategy};
 use atena_env::{DisplayCache, DisplayCacheStats, EdaEnv};
@@ -36,7 +34,7 @@ use atena_rl::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct Config {
     dataset: String,
@@ -50,8 +48,6 @@ struct Config {
     decode_seeds: u64,
     seed: u64,
     bench_out: Option<String>,
-    batch_sizes: Vec<usize>,
-    batch_bench_out: Option<String>,
 }
 
 impl Default for Config {
@@ -68,8 +64,6 @@ impl Default for Config {
             decode_seeds: 4,
             seed: 0,
             bench_out: None,
-            batch_sizes: vec![1, 4, 8],
-            batch_bench_out: None,
         }
     }
 }
@@ -112,48 +106,6 @@ struct TracingRecord {
     digest_match: bool,
 }
 
-#[derive(serde::Serialize)]
-struct BatchSweepRecord {
-    batch: usize,
-    steps_per_sec: f64,
-    speedup_vs_batch1: f64,
-    /// End-to-end speedup over the pre-batching decode engine (per-step
-    /// autodiff graph with weight snapshots), env stepping included.
-    speedup_vs_graph: f64,
-    /// Policy rows pushed through the inference engine per second of
-    /// forward time — the engine-only number, undiluted by env stepping.
-    forward_rows_per_sec: f64,
-    /// `forward_rows_per_sec` over the graph engine's — the acceptance
-    /// number for the batched-inference subsystem itself.
-    forward_speedup_vs_graph: f64,
-    forward_p50_us: f64,
-    forward_p95_us: f64,
-    forward_p99_us: f64,
-    digest: String,
-}
-
-/// The persisted `BENCH_batch.json` schema (`version` guards consumers
-/// against silent shape drift): steps/sec and per-forward latency
-/// quantiles of the lane-batched greedy decode replay vs batch size,
-/// with the pre-batching graph engine as the reference row.
-#[derive(serde::Serialize)]
-struct BatchBenchRecord {
-    version: u32,
-    bench: &'static str,
-    dataset: String,
-    episodes: u64,
-    seed_pool: u64,
-    episode_len: usize,
-    cache: usize,
-    /// The pre-batching engine (graph-based `act`) on the same workload.
-    graph_steps_per_sec: f64,
-    /// The graph engine's inference-only throughput (rows through
-    /// `act_via_graph` per second of forward time).
-    graph_forward_rows_per_sec: f64,
-    sweeps: Vec<BatchSweepRecord>,
-    determinism_ok: bool,
-}
-
 /// The persisted `BENCH_rollout.json` schema (`version` guards consumers
 /// against silent shape drift).
 #[derive(serde::Serialize)]
@@ -180,8 +132,6 @@ USAGE:
                      [--temperature T] [--decode-episodes N]
                      [--decode-seeds N] [--seed N]
                      [--bench-out BENCH_rollout.json]
-                     [--batch-sizes 1,4,8]
-                     [--batch-bench-out BENCH_batch.json]
 ";
 
 fn parse_args(args: &[String]) -> Result<Config, String> {
@@ -229,17 +179,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
             }
             "--seed" => config.seed = value.parse().map_err(|_| "--seed: integer expected")?,
             "--bench-out" => config.bench_out = Some(value.clone()),
-            "--batch-sizes" => {
-                config.batch_sizes = value
-                    .split(',')
-                    .map(|b| {
-                        b.trim()
-                            .parse()
-                            .map_err(|_| "--batch-sizes: integers expected")
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--batch-bench-out" => config.batch_bench_out = Some(value.clone()),
             "--workers" => {
                 config.workers = value
                     .split(',')
@@ -252,9 +191,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
     }
     if config.workers.is_empty() {
         return Err("--workers needs at least one count".into());
-    }
-    if config.batch_sizes.is_empty() || config.batch_sizes.contains(&0) {
-        return Err("--batch-sizes needs positive batch sizes".into());
     }
     Ok(config)
 }
@@ -388,137 +324,6 @@ fn decode_sweep(
     let secs = start.elapsed().as_secs_f64();
     let stats = cache.map(|c| c.stats()).unwrap_or_default();
     (secs, digest, steps, stats)
-}
-
-/// The same decode-replay workload through the *pre-batching* engine —
-/// `TwofoldPolicy::act_via_graph`, one fresh autodiff graph and a full
-/// set of weight snapshots per step — digested with the same per-episode
-/// commutative scheme as [`batched_decode_sweep`], so its digest must
-/// equal every batched digest (the graph path is the bit-identity oracle).
-/// Returns (secs, digest, steps).
-fn graph_reference_sweep(
-    frame: &atena_dataframe::DataFrame,
-    env_config: &atena_env::EnvConfig,
-    policy: &TwofoldPolicy,
-    cache_capacity: usize,
-    episodes: u64,
-    seed_pool: u64,
-) -> (f64, u64, u64, Duration) {
-    const DECODE_TEMPERATURE: f32 = 1e-3;
-    let cache = (cache_capacity > 0).then(|| Arc::new(DisplayCache::new(cache_capacity)));
-    let mut env = EdaEnv::new(frame.clone(), env_config.clone());
-    if let Some(cache) = &cache {
-        env = env.with_display_cache(Arc::clone(cache));
-    }
-    let start = Instant::now();
-    let mut digest = 0u64;
-    let mut steps = 0u64;
-    let mut forward_total = Duration::ZERO;
-    for episode in 0..episodes {
-        let seed = episode % seed_pool;
-        env.reset_with_seed(seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut ep_digest = 0u64;
-        while !env.done() {
-            let obs = env.observation();
-            let forward_start = Instant::now();
-            let step = policy.act_via_graph(&obs, DECODE_TEMPERATURE, &mut rng);
-            forward_total += forward_start.elapsed();
-            let action = step
-                .choice
-                .to_eda_action()
-                .expect("twofold policy emits twofold choices");
-            let transition = env.step(&action);
-            steps += 1;
-            for x in &transition.observation {
-                ep_digest = ep_digest
-                    .rotate_left(7)
-                    .wrapping_add(u64::from(x.to_bits()));
-            }
-        }
-        digest = digest.wrapping_add(ep_digest);
-    }
-    (start.elapsed().as_secs_f64(), digest, steps, forward_total)
-}
-
-/// Lane-batched greedy decode replay: `batch` environments decode the
-/// same episode workload in lockstep, every step advancing all lanes
-/// through one `[batch, obs_dim]` policy forward. Episodes are assigned
-/// to lanes in rounds (lane `l` of round `r` decodes episode `r·batch +
-/// l`), and each episode's transcript is digested independently then
-/// combined commutatively — so the digest depends only on the *set* of
-/// decoded episodes, which lets any batch size be compared bit-for-bit
-/// against batch 1 (the serial schedule).
-///
-/// Returns (secs, digest, steps, per-forward latencies).
-fn batched_decode_sweep(
-    frame: &atena_dataframe::DataFrame,
-    env_config: &atena_env::EnvConfig,
-    policy: &TwofoldPolicy,
-    cache_capacity: usize,
-    episodes: u64,
-    seed_pool: u64,
-    batch: usize,
-) -> (f64, u64, u64, Vec<Duration>) {
-    const DECODE_TEMPERATURE: f32 = 1e-3;
-    let batch = batch.max(1);
-    let cache = (cache_capacity > 0).then(|| Arc::new(DisplayCache::new(cache_capacity)));
-    let base = Arc::new(frame.clone());
-    let mut envs: Vec<EdaEnv> = (0..batch)
-        .map(|_| {
-            let mut env = EdaEnv::with_shared_base(Arc::clone(&base), env_config.clone());
-            if let Some(cache) = &cache {
-                env = env.with_display_cache(Arc::clone(cache));
-            }
-            env
-        })
-        .collect();
-    let planner = BatchPlanner::new(policy.obs_dim(), batch);
-    let start = Instant::now();
-    let mut digest = 0u64;
-    let mut steps = 0u64;
-    let mut forward_lat = Vec::new();
-    let mut next_episode = 0u64;
-    while next_episode < episodes {
-        let active = (episodes - next_episode).min(batch as u64) as usize;
-        let mut rngs = Vec::with_capacity(active);
-        let mut ep_digests = vec![0u64; active];
-        for (l, env) in envs[..active].iter_mut().enumerate() {
-            let seed = (next_episode + l as u64) % seed_pool;
-            env.reset_with_seed(seed);
-            rngs.push(StdRng::seed_from_u64(seed));
-        }
-        // All lanes share the episode length, so they finish in lockstep.
-        while !envs[0].done() {
-            let obs: Vec<Vec<f32>> = envs[..active].iter().map(|e| e.observation()).collect();
-            let forward_start = Instant::now();
-            let rows = planner.run(&obs, |b| {
-                policy
-                    .forward_rows(b, DECODE_TEMPERATURE)
-                    .expect("policy accepts gathered observations")
-            });
-            forward_lat.push(forward_start.elapsed());
-            for (l, row) in rows.into_iter().enumerate() {
-                let step = row.sample(&mut rngs[l]);
-                let action = step
-                    .choice
-                    .to_eda_action()
-                    .expect("twofold policy emits twofold choices");
-                let transition = envs[l].step(&action);
-                steps += 1;
-                for x in &transition.observation {
-                    ep_digests[l] = ep_digests[l]
-                        .rotate_left(7)
-                        .wrapping_add(u64::from(x.to_bits()));
-                }
-            }
-        }
-        for d in ep_digests {
-            digest = digest.wrapping_add(d);
-        }
-        next_episode += active as u64;
-    }
-    (start.elapsed().as_secs_f64(), digest, steps, forward_lat)
 }
 
 fn main() {
@@ -701,144 +506,6 @@ fn main() {
         cache_hit_rate: stats.hit_rate(),
         digest_match: plain_digest == cached_digest,
     };
-
-    // Batched inference sweep: the same decode-replay workload stepped
-    // through lane-batched policy forwards at each requested batch size.
-    // The reference row is the pre-batching engine (graph-based act with
-    // per-step weight snapshots); batch 1 is the serial schedule of the
-    // new engine. On a single core batch N vs batch 1 is near-flat — the
-    // kernels are compute-bound and batch 1 shares them — so the win the
-    // subsystem bought shows in the vs-graph column (DESIGN.md §4l).
-    let (graph_secs, graph_digest, graph_steps, graph_forward) = graph_reference_sweep(
-        &frame,
-        &atena_config.env,
-        &plan_parts.policy,
-        config.cache,
-        config.decode_episodes,
-        config.decode_seeds,
-    );
-    let graph_sps = graph_steps as f64 / graph_secs.max(1e-9);
-    let graph_rows_ps = graph_steps as f64 / graph_forward.as_secs_f64().max(1e-9);
-    println!(
-        "pre-batching graph engine on the decode replay: {graph_sps:.0} steps/sec, \
-         {graph_rows_ps:.0} forward rows/sec (episode digest {graph_digest:016x})"
-    );
-    let mut batch_rows = Vec::new();
-    let mut batch_records = Vec::new();
-    let mut batch_digests: Vec<(usize, u64)> = vec![(0, graph_digest)];
-    let mut batch1_sps = None;
-    for &batch in &config.batch_sizes {
-        let (secs, digest, steps, mut forward_lat) = batched_decode_sweep(
-            &frame,
-            &atena_config.env,
-            &plan_parts.policy,
-            config.cache,
-            config.decode_episodes,
-            config.decode_seeds,
-            batch,
-        );
-        let forward_secs: f64 = forward_lat.iter().map(Duration::as_secs_f64).sum();
-        forward_lat.sort_unstable();
-        let sps = steps as f64 / secs.max(1e-9);
-        let rows_ps = steps as f64 / forward_secs.max(1e-9);
-        let base_sps = *batch1_sps.get_or_insert(sps);
-        let speedup = sps / base_sps.max(1e-9);
-        batch_digests.push((batch, digest));
-        let (p50, p95, p99) = (
-            quantile(&forward_lat, 0.50).as_secs_f64() * 1e6,
-            quantile(&forward_lat, 0.95).as_secs_f64() * 1e6,
-            quantile(&forward_lat, 0.99).as_secs_f64() * 1e6,
-        );
-        batch_records.push(BatchSweepRecord {
-            batch,
-            steps_per_sec: sps,
-            speedup_vs_batch1: speedup,
-            speedup_vs_graph: sps / graph_sps.max(1e-9),
-            forward_rows_per_sec: rows_ps,
-            forward_speedup_vs_graph: rows_ps / graph_rows_ps.max(1e-9),
-            forward_p50_us: p50,
-            forward_p95_us: p95,
-            forward_p99_us: p99,
-            digest: format!("{digest:016x}"),
-        });
-        batch_rows.push(vec![
-            batch.to_string(),
-            f2(sps),
-            f2(speedup),
-            f2(sps / graph_sps.max(1e-9)),
-            f2(rows_ps / graph_rows_ps.max(1e-9)),
-            f2(p50),
-            f2(p95),
-            f2(p99),
-            format!("{digest:016x}"),
-        ]);
-    }
-    println!(
-        "batched decode replay ({} episodes over {} request seeds, cache {}):",
-        config.decode_episodes, config.decode_seeds, config.cache
-    );
-    println!(
-        "{}",
-        render_table(
-            &[
-                "batch",
-                "steps/sec",
-                "vs batch 1",
-                "vs graph",
-                "fwd vs graph",
-                "fwd p50 µs",
-                "fwd p95 µs",
-                "fwd p99 µs",
-                "episode digest"
-            ],
-            &batch_rows
-        )
-    );
-    let batch_reference = graph_digest;
-    let batch_divergent: Vec<String> = batch_digests
-        .iter()
-        .filter(|(_, d)| *d != batch_reference)
-        .map(|(b, _)| {
-            if *b == 0 {
-                "graph".to_string()
-            } else {
-                format!("batch {b}")
-            }
-        })
-        .collect();
-    if batch_divergent.is_empty() {
-        println!(
-            "batch determinism: OK — the graph engine and every batch size produced \
-             bit-identical episodes (batching is execution-only, DESIGN.md §4l)"
-        );
-    } else {
-        eprintln!("batch determinism VIOLATED at {batch_divergent:?}");
-        finish_telemetry();
-        std::process::exit(1);
-    }
-    if let Some(path) = &config.batch_bench_out {
-        let record = BatchBenchRecord {
-            version: 1,
-            bench: "batched_decode",
-            dataset: config.dataset.clone(),
-            episodes: config.decode_episodes,
-            seed_pool: config.decode_seeds,
-            episode_len: atena_config.env.episode_len,
-            cache: config.cache,
-            graph_steps_per_sec: graph_sps,
-            graph_forward_rows_per_sec: graph_rows_ps,
-            sweeps: batch_records,
-            determinism_ok: true,
-        };
-        match atena_bench::dump_json_to(std::path::Path::new(path), &record) {
-            Ok(()) => println!("batch bench record written to {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                finish_telemetry();
-                std::process::exit(1);
-            }
-        }
-    }
 
     // Span-tracing overhead: the same sweep at the highest worker count,
     // tracer off vs on. Tracing is execution-only, so the trajectories must

@@ -44,8 +44,8 @@ fn scenario_matrix_and_soak_smoke_against_live_server() {
     let engine = atena_server::Engine::new(bundle.clone(), base()).unwrap();
 
     // Offline references: the exact bytes the server must return for
-    // each seed (serial decode; the server microbatches — determinism
-    // says the bytes cannot differ).
+    // each seed (the server decodes concurrently — determinism says the
+    // bytes cannot differ).
     let episode_len = 3;
     let good_requests: Vec<(String, String)> = (0..4u64)
         .map(|seed| {
@@ -62,15 +62,13 @@ fn scenario_matrix_and_soak_smoke_against_live_server() {
         .collect();
 
     // Mirror the chaos binary's hostile-friendly config: short deadline,
-    // microbatching on, tiny registry budget, tight admission.
+    // tiny registry budget, tight admission.
     let request_timeout = Duration::from_millis(700);
     let config = atena_server::ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 4,
         cache_size: 8,
         request_timeout,
-        max_batch: 4,
-        batch_window: Duration::from_millis(1),
         registry: atena_registry::RegistryConfig {
             budget_bytes: 2048,
             max_datasets: 4,
@@ -155,8 +153,8 @@ fn scenario_matrix_and_soak_smoke_against_live_server() {
         );
     }
 
-    // 3. Through the entire run: no worker panics, no aborted batches
-    //    left behind by byzantine clients.
+    // 3. Through the entire run: no worker panics left behind by
+    //    byzantine clients.
     let snap = telemetry.snapshot();
     assert_eq!(snap.counter("server.pool.panics"), None);
     assert!(

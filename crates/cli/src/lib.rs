@@ -79,9 +79,6 @@ SERVE OPTIONS:
   --upload-max-mb <N>        per-upload CSV size cap       [default: 8]
   --tenant-max-inflight <N>  per-tenant in-flight cap      [default: 8]
   --tenant-quota-mb <N>      per-tenant resident quota     [default: 64]
-  --max-batch <N>     decode steps coalesced per forward; responses are
-                      bit-identical at any value   [default: 1 (off)]
-  --batch-window-us <N>  wait for batch company, microseconds  [default: 200]
 
 METRICS SUMMARIZE OPTIONS:
   --format <F>        text | json                  [default: text]
@@ -190,10 +187,6 @@ pub enum Command {
         tenant_max_inflight: usize,
         /// Per-tenant resident-byte quota, in MiB.
         tenant_quota_mb: usize,
-        /// Rows per microbatched decode forward (1 = batching off).
-        max_batch: usize,
-        /// Microbatch window in microseconds.
-        batch_window_us: u64,
     },
     /// Offline registry inspection: parse CSV files exactly as an upload
     /// would and print their dataset identity and schema.
@@ -487,8 +480,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut upload_max_mb = 8usize;
             let mut tenant_max_inflight = 8usize;
             let mut tenant_quota_mb = 64usize;
-            let mut max_batch = 1usize;
-            let mut batch_window_us = 200u64;
             let rest = &args[1..];
             let mut i = 0;
             while i < rest.len() {
@@ -523,17 +514,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         tenant_max_inflight = int("--tenant-max-inflight")?;
                     }
                     "--tenant-quota-mb" => tenant_quota_mb = int("--tenant-quota-mb")?,
-                    "--max-batch" => {
-                        max_batch = int("--max-batch")?;
-                        if max_batch == 0 {
-                            return Err(CliError::Usage("--max-batch must be positive".into()));
-                        }
-                    }
-                    "--batch-window-us" => {
-                        batch_window_us = value.parse().map_err(|_| {
-                            CliError::Usage("--batch-window-us expects an integer".into())
-                        })?;
-                    }
                     other => return Err(CliError::Usage(format!("unknown option {other:?}"))),
                 }
                 i += 2;
@@ -552,8 +532,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 upload_max_mb,
                 tenant_max_inflight,
                 tenant_quota_mb,
-                max_batch,
-                batch_window_us,
             })
         }
         Some("metrics") => match args.get(1).map(String::as_str) {
@@ -1059,8 +1037,6 @@ pub fn run(command: Command) -> Result<String, CliError> {
             upload_max_mb,
             tenant_max_inflight,
             tenant_quota_mb,
-            max_batch,
-            batch_window_us,
         } => {
             if let Some(path) = &trace_out {
                 set_trace_sink(path)?;
@@ -1093,8 +1069,6 @@ pub fn run(command: Command) -> Result<String, CliError> {
                     max_inflight: tenant_max_inflight,
                     ..Default::default()
                 },
-                max_batch,
-                batch_window: std::time::Duration::from_micros(batch_window_us),
                 ..Default::default()
             };
             let server = atena_server::Server::bind(config, engine)
@@ -1652,10 +1626,6 @@ garbage line
             "3",
             "--tenant-quota-mb",
             "16",
-            "--max-batch",
-            "8",
-            "--batch-window-us",
-            "150",
         ]))
         .unwrap();
         assert_eq!(
@@ -1672,8 +1642,6 @@ garbage line
                 upload_max_mb: 2,
                 tenant_max_inflight: 3,
                 tenant_quota_mb: 16,
-                max_batch: 8,
-                batch_window_us: 150,
             }
         );
         // Defaults.
@@ -1688,8 +1656,6 @@ garbage line
             upload_max_mb,
             tenant_max_inflight,
             tenant_quota_mb,
-            max_batch,
-            batch_window_us,
             ..
         } = parse(&args(&["serve", "--checkpoint", "c.json"])).unwrap()
         else {
@@ -1705,18 +1671,17 @@ garbage line
         assert_eq!(upload_max_mb, 8);
         assert_eq!(tenant_max_inflight, 8);
         assert_eq!(tenant_quota_mb, 64);
-        assert_eq!(max_batch, 1, "batching defaults off");
-        assert_eq!(batch_window_us, 200);
         assert!(matches!(parse(&args(&["serve"])), Err(CliError::Usage(_))));
+        // Decodes run one forward per step; there is no batching knob.
         assert!(matches!(
             parse(&args(&[
                 "serve",
                 "--checkpoint",
                 "c.json",
                 "--max-batch",
-                "0"
+                "2"
             ])),
-            Err(CliError::Usage(_))
+            Err(CliError::Usage(m)) if m.contains("unknown option")
         ));
         assert!(matches!(
             parse(&args(&[

@@ -20,7 +20,7 @@
 //!   the registered counter-derived stream constructors in
 //!   `crates/runtime/src/lib.rs` (ENV/INIT/EVAL tags).
 //! * **panic-path** — `unwrap`/`expect`/`panic!`/unguarded indexing in the
-//!   server request path and batch leader/follower code, where a panic
+//!   server request path and the lane-batch planner, where a panic
 //!   poisons a pooled worker.
 //! * **unsafe-inventory** — `unsafe` outside the allowlisted SIMD/signal
 //!   modules, `unsafe` without a `// SAFETY:` comment, and crate roots
@@ -326,9 +326,9 @@ impl Baseline {
 // ---------------------------------------------------------------------------
 
 /// Crate tiers, for reporting. Rule applicability is driven by the explicit
-/// sets in [`Config`]; a crate can be semantic for one rule and
-/// execution-exempt for another (e.g. `batch`: hash-order applies, its
-/// `Instant` flush deadlines do not count as wall-clock violations).
+/// per-rule sets in [`Config`], not by the tier: a crate listed in both
+/// `semantic_crates` and `wallclock_exempt_crates` would be semantic for
+/// hash-order and execution-exempt for wall-clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     Semantic,
@@ -370,14 +370,7 @@ impl Config {
     pub fn workspace_default() -> Config {
         Config {
             semantic_crates: vec!["dataframe", "env", "reward", "rl", "core", "batch"],
-            wallclock_exempt_crates: vec![
-                "telemetry",
-                "bench",
-                "benchmark",
-                "runtime",
-                "server",
-                "batch",
-            ],
+            wallclock_exempt_crates: vec!["telemetry", "bench", "benchmark", "runtime", "server"],
             rng_allowed_files: vec!["crates/runtime/src/lib.rs"],
             panic_path_files: vec![
                 "crates/server/src/lib.rs",

@@ -175,25 +175,35 @@ impl ParamSet {
             .collect()
     }
 
-    /// Load values by name. Unknown names are ignored; missing names are an
-    /// error.
+    /// Load values by name. Unknown names are ignored; a missing name, a
+    /// shape mismatch, or a non-finite value is an error naming the
+    /// parameter. Everything is validated before anything is written, so
+    /// a rejected state leaves the set unchanged.
     pub fn load_state(&self, state: &[(String, Tensor)]) -> Result<(), String> {
+        let mut found = Vec::with_capacity(self.params.len());
         for p in &self.params {
-            let found = state.iter().find(|(n, _)| n == p.name());
-            match found {
-                Some((_, t)) => {
-                    if t.shape() != p.shape() {
-                        return Err(format!(
-                            "shape mismatch for {}: checkpoint {:?}, model {:?}",
-                            p.name(),
-                            t.shape(),
-                            p.shape()
-                        ));
-                    }
-                    p.set_value(t.clone());
-                }
-                None => return Err(format!("missing parameter in checkpoint: {}", p.name())),
+            let Some((_, t)) = state.iter().find(|(n, _)| n == p.name()) else {
+                return Err(format!("missing parameter in checkpoint: {}", p.name()));
+            };
+            if t.shape() != p.shape() {
+                return Err(format!(
+                    "shape mismatch for {}: checkpoint {:?}, model {:?}",
+                    p.name(),
+                    t.shape(),
+                    p.shape()
+                ));
             }
+            if let Some(i) = t.data().iter().position(|v| !v.is_finite()) {
+                return Err(format!(
+                    "non-finite value in checkpoint parameter {} at element {i}: {}",
+                    p.name(),
+                    t.data()[i]
+                ));
+            }
+            found.push(t);
+        }
+        for (p, t) in self.params.iter().zip(found) {
+            p.set_value(t.clone());
         }
         Ok(())
     }
@@ -273,5 +283,21 @@ mod tests {
         set.register(Param::new("a", Tensor::zeros(3, 4)));
         set.register(Param::new("b", Tensor::zeros(1, 4)));
         assert_eq!(set.n_elements(), 16);
+    }
+
+    #[test]
+    fn load_state_rejects_non_finite_values_and_leaves_params_untouched() {
+        let mut set = ParamSet::new();
+        set.register(Param::new("a", Tensor::zeros(1, 2)));
+        set.register(Param::new("b", Tensor::zeros(1, 2)));
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let state = vec![
+                ("a".to_string(), Tensor::full(1, 2, 1.0)),
+                ("b".to_string(), Tensor::from_vec(1, 2, vec![1.0, bad])),
+            ];
+            let err = set.load_state(&state).unwrap_err();
+            assert!(err.contains("non-finite") && err.contains(" b "), "{err}");
+            assert_eq!(set.state()[0].1.data(), &[0.0, 0.0], "partial load");
+        }
     }
 }

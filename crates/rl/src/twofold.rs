@@ -84,43 +84,6 @@ impl TwofoldPolicy {
         let value = self.value_head.forward(g, h);
         (logits, value)
     }
-
-    /// The pre-batching decode engine, kept verbatim: one step through a
-    /// fresh autodiff [`Graph`], snapshotting every weight matrix onto the
-    /// tape. This is the oracle the tensor-path [`Policy::act`] /
-    /// [`Policy::forward_rows`] must reproduce bit for bit (same
-    /// probabilities, same RNG draws, same log-prob and value), and the
-    /// perf baseline the batched-inference benchmarks report speedups
-    /// against (DESIGN.md §4l).
-    pub fn act_via_graph(
-        &self,
-        obs: &[f32],
-        temperature: f32,
-        rng: &mut StdRng,
-    ) -> crate::policy::PolicyStep {
-        use crate::policy::sample_categorical;
-        let mut g = Graph::new();
-        let x = g.constant(Tensor::row_vector(obs.to_vec()));
-        let (logits, value) = self.forward_heads(&mut g, x);
-        let temp = temperature.max(1e-3);
-        let mut heads = [0usize; N_HEADS];
-        for (i, &node) in logits.iter().enumerate() {
-            let scaled = g.scale(node, 1.0 / temp);
-            let probs = softmax_rows(g.value(scaled));
-            heads[i] = sample_categorical(probs.row(0), rng);
-        }
-        let op = op_of_head_choice(heads[0]);
-        let mut log_prob = 0.0f32;
-        for &h in active_heads(op) {
-            let probs = softmax_rows(g.value(logits[h]));
-            log_prob += probs.get(0, heads[h]).max(1e-10).ln();
-        }
-        crate::policy::PolicyStep {
-            choice: ActionChoice::Twofold { heads },
-            log_prob,
-            value: g.value(value).get(0, 0),
-        }
-    }
 }
 
 impl Policy for TwofoldPolicy {
@@ -212,7 +175,42 @@ impl Policy for TwofoldPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{sample_categorical, PolicyStep};
     use rand::SeedableRng;
+
+    /// The pre-batching decode engine, kept verbatim as an oracle: one
+    /// step through a fresh autodiff [`Graph`], snapshotting every weight
+    /// matrix onto the tape. The tensor-path [`Policy::act`] /
+    /// [`Policy::forward_rows`] must reproduce it bit for bit (same
+    /// probabilities, same RNG draws, same log-prob and value).
+    fn act_via_graph(
+        p: &TwofoldPolicy,
+        obs: &[f32],
+        temperature: f32,
+        rng: &mut StdRng,
+    ) -> PolicyStep {
+        let mut g = Graph::new();
+        let x = g.constant(Tensor::row_vector(obs.to_vec()));
+        let (logits, value) = p.forward_heads(&mut g, x);
+        let temp = temperature.max(1e-3);
+        let mut heads = [0usize; N_HEADS];
+        for (i, &node) in logits.iter().enumerate() {
+            let scaled = g.scale(node, 1.0 / temp);
+            let probs = softmax_rows(g.value(scaled));
+            heads[i] = sample_categorical(probs.row(0), rng);
+        }
+        let op = op_of_head_choice(heads[0]);
+        let mut log_prob = 0.0f32;
+        for &h in active_heads(op) {
+            let probs = softmax_rows(g.value(logits[h]));
+            log_prob += probs.get(0, heads[h]).max(1e-10).ln();
+        }
+        PolicyStep {
+            choice: ActionChoice::Twofold { heads },
+            log_prob,
+            value: g.value(value).get(0, 0),
+        }
+    }
 
     fn head_sizes() -> HeadSizes {
         HeadSizes {
@@ -277,7 +275,7 @@ mod tests {
             let mut rng_a = StdRng::seed_from_u64(1000 + trial as u64);
             let mut rng_b = StdRng::seed_from_u64(1000 + trial as u64);
             let fast = p.act(&obs, temperature, &mut rng_a);
-            let slow = p.act_via_graph(&obs, temperature, &mut rng_b);
+            let slow = act_via_graph(&p, &obs, temperature, &mut rng_b);
             assert_eq!(fast.choice, slow.choice, "trial {trial} choice");
             assert_eq!(
                 fast.log_prob.to_bits(),

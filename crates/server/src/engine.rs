@@ -10,13 +10,12 @@
 //! serving many datasets through one engine composes soundly with the
 //! determinism contract.
 
-use atena_batch::{MicroBatcher, MicrobatchConfig};
 use atena_core::{Notebook, NotebookSummary, PolicyBundle};
 use atena_dataframe::DataFrame;
 use atena_env::{DisplayCache, EdaEnv};
 use atena_nn::Tensor;
-use atena_rl::{Policy, PolicyRow, TwofoldPolicy};
-use atena_telemetry::{MetricsRegistry, SpanGuard};
+use atena_rl::{Policy, TwofoldPolicy};
+use atena_telemetry::SpanGuard;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -108,12 +107,6 @@ pub struct Engine {
     policy: Arc<TwofoldPolicy>,
     frame: Arc<DataFrame>,
     display_cache: Arc<DisplayCache>,
-    /// Microbatch queue coalescing concurrent decode steps into one
-    /// `[B, obs_dim]` forward. `None` when batching is off (`max_batch`
-    /// ≤ 1). Batching is execution-only: responses are bit-identical
-    /// because each request samples its own RNG from its slot's
-    /// [`PolicyRow`], exactly as the serial act path would.
-    batcher: Option<Arc<MicroBatcher<PolicyRow>>>,
 }
 
 impl Engine {
@@ -122,7 +115,9 @@ impl Engine {
     /// Runs one probe forward over a zero observation so a bundle whose
     /// stored weights are internally inconsistent (layer widths that don't
     /// chain) is rejected here with a typed error instead of panicking a
-    /// worker thread on the first request.
+    /// worker thread on the first request. A non-finite stored weight is
+    /// rejected earlier, by the checkpoint restore, with an error naming
+    /// the parameter.
     pub fn new(bundle: PolicyBundle, frame: DataFrame) -> Result<Self, String> {
         let policy = bundle
             .build_policy()
@@ -136,44 +131,7 @@ impl Engine {
             policy: Arc::new(policy),
             frame: Arc::new(frame),
             display_cache: Arc::new(DisplayCache::new(DISPLAY_CACHE_CAPACITY)),
-            batcher: None,
         })
-    }
-
-    /// Enable microbatched decoding: concurrent requests' per-step
-    /// forwards are coalesced into one batched pass (up to
-    /// `config.max_batch` rows, waiting at most `config.window` for
-    /// company). `max_batch` ≤ 1 leaves the serial path in place.
-    pub fn with_microbatch(mut self, config: MicrobatchConfig) -> Self {
-        if config.max_batch <= 1 {
-            self.batcher = None;
-            return self;
-        }
-        let policy = Arc::clone(&self.policy);
-        let obs_dim = policy.obs_dim();
-        self.batcher = Some(Arc::new(MicroBatcher::new(obs_dim, config, move |batch| {
-            // The load-time probe pinned the weight shapes and the queue
-            // asserts row widths, so this forward cannot fail. The closure's
-            // signature leaves no error channel, and the probe makes this
-            // genuinely unreachable rather than a request-dependent panic.
-            policy
-                .forward_rows(batch, DECODE_TEMPERATURE)
-                // atena-lint: allow(panic-path) — shape pinned by the Engine::new probe
-                .unwrap_or_else(|e| panic!("probed policy rejected batch: {e}"))
-        })));
-        self
-    }
-
-    /// The microbatch queue, when batching is enabled.
-    pub fn batcher(&self) -> Option<&Arc<MicroBatcher<PolicyRow>>> {
-        self.batcher.as_ref()
-    }
-
-    /// Point the engine's batch metrics at an explicit registry.
-    pub fn reroute_telemetry(&self, registry: &Arc<MetricsRegistry>) {
-        if let Some(b) = &self.batcher {
-            b.reroute_telemetry(registry);
-        }
     }
 
     /// The display cache shared across this engine's decode requests.
@@ -295,16 +253,7 @@ impl Engine {
         let mut rng = StdRng::seed_from_u64(request.seed);
         while !env.done() {
             let obs = env.observation();
-            let step = if let Some(batcher) = &self.batcher {
-                let _s = parent.map(|p| p.child("nn.forward_batched"));
-                // An aborted batch (the flushing peer died mid-flush) costs
-                // this request a typed 500; the queue itself recovers and
-                // the next submission opens a fresh batch.
-                let row = batcher
-                    .submit(obs)
-                    .map_err(|e| EngineError::Internal(e.to_string()))?;
-                row.sample(&mut rng)
-            } else {
+            let step = {
                 let _s = parent.map(|p| p.child("nn.forward"));
                 self.policy.act(&obs, DECODE_TEMPERATURE, &mut rng)
             };
@@ -377,32 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_decode_is_bit_identical_to_serial() {
-        let serial = engine();
-        let batched = engine().with_microbatch(MicrobatchConfig {
-            max_batch: 8,
-            window: std::time::Duration::from_micros(50),
-        });
-        assert!(batched.batcher().is_some());
-        for seed in [0u64, 7, 11] {
-            let req = serial.validate("tiny", Some(4), Some(seed)).unwrap();
-            let a = serial.decode(&req).unwrap();
-            let b = batched.decode(&req).unwrap();
-            assert_eq!(
-                serde_json::to_string(&a.notebook).unwrap(),
-                serde_json::to_string(&b.notebook).unwrap(),
-                "seed {seed} diverged under batching"
-            );
-        }
-        // max_batch ≤ 1 keeps the serial path (no queue to wait on).
-        let off = engine().with_microbatch(MicrobatchConfig {
-            max_batch: 1,
-            window: std::time::Duration::from_secs(5),
-        });
-        assert!(off.batcher().is_none());
-    }
-
-    #[test]
     fn validate_rejects_wrong_dataset_and_bad_lengths() {
         let e = engine();
         assert!(matches!(
@@ -436,6 +359,26 @@ mod tests {
             .build()
             .unwrap();
         assert!(Engine::new(bundle, other).is_err());
+    }
+
+    #[test]
+    fn overflowing_weight_is_rejected_at_startup() {
+        // Rewrite the first element of the first stored tensor to 1e39,
+        // which parses to f32::INFINITY.
+        let json = engine().bundle().to_json().unwrap();
+        let data = json.find("\"data\":[").unwrap() + "\"data\":[".len();
+        let name_start = json[..data].rfind("[\"").unwrap() + 2;
+        let name = &json[name_start..name_start + json[name_start..].find('"').unwrap()];
+        let number_end = data + json[data..].find([',', ']']).unwrap();
+        let poisoned = format!("{}1e39{}", &json[..data], &json[number_end..]);
+        let bundle = PolicyBundle::from_json(&poisoned).unwrap();
+        let err = Engine::new(bundle, base())
+            .err()
+            .expect("engine must refuse");
+        assert!(
+            err.contains("non-finite") && err.contains(name),
+            "error must name parameter {name:?}: {err}"
+        );
     }
 
     #[test]

@@ -86,14 +86,6 @@ pub struct ServerConfig {
     pub registry: RegistryConfig,
     /// Per-tenant admission control for mutating requests.
     pub tenant_limits: TenantLimits,
-    /// Rows per microbatched decode forward: concurrent requests' decode
-    /// steps are coalesced into one `[B, obs_dim]` pass. `1` (the
-    /// default) disables the queue. Execution-only — responses are
-    /// bit-identical at any batch size (DESIGN.md §4l).
-    pub max_batch: usize,
-    /// How long the first decode step of a batch waits for company before
-    /// a timeout flush.
-    pub batch_window: Duration,
 }
 
 impl Default for ServerConfig {
@@ -107,8 +99,6 @@ impl Default for ServerConfig {
             slow_threshold: Duration::from_millis(500),
             registry: RegistryConfig::default(),
             tenant_limits: TenantLimits::default(),
-            max_batch: 1,
-            batch_window: Duration::from_micros(200),
         }
     }
 }
@@ -197,11 +187,6 @@ impl Server {
         telemetry: Arc<MetricsRegistry>,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let engine = engine.with_microbatch(atena_batch::MicrobatchConfig {
-            max_batch: config.max_batch,
-            window: config.batch_window,
-        });
-        engine.reroute_telemetry(&telemetry);
         let registry = Arc::new(DatasetRegistry::new(config.registry));
         registry.reroute_telemetry(&telemetry);
         // The bundle's baked-in dataset is pinned: always resolvable by id,
@@ -356,11 +341,14 @@ fn handle_connection(
                 trace.attr("method", request.method.clone());
                 trace.attr("path", request.path().to_string());
                 trace.record_exact(ROOT_SPAN_ID, "http.read", read_secs, Vec::new());
-                let span = atena_telemetry::Span::enter(
-                    state.telemetry.histogram("server.http.latency_secs"),
-                );
+                let route_start = Instant::now();
                 let outcome = route(&request, state, &trace);
-                let total_secs = span.finish();
+                let route_elapsed = route_start.elapsed();
+                state
+                    .telemetry
+                    .histogram("server.http.latency_secs")
+                    .record_duration(route_elapsed);
+                let total_secs = route_elapsed.as_secs_f64();
                 trace.attr("status", outcome.response.status.to_string());
                 if total_secs > config.slow_threshold.as_secs_f64() {
                     state.telemetry.counter("server.request.slow").inc();
@@ -835,20 +823,16 @@ fn serve_notebook(request: &Request, state: &AppState, trace: &ActiveTrace<'_>) 
     let mut decode_span = trace.span("engine.decode");
     decode_span.set_attr("episode_len", validated.episode_len.to_string());
     decode_span.set_attr("seed", validated.seed.to_string());
-    let span = atena_telemetry::Span::enter(t.histogram("server.notebook.decode_secs"));
-    let decoded = match state
+    let decoded = state
         .engine
-        .decode_with_frame(&frame, &validated, Some(&decode_span))
-    {
+        .decode_with_frame(&frame, &validated, Some(&decode_span));
+    let decode_secs = decode_span.finish();
+    t.histogram("server.notebook.decode_secs")
+        .record(decode_secs);
+    let decoded = match decoded {
         Ok(d) => d,
-        Err(e) => {
-            let _ = span.finish();
-            drop(decode_span);
-            return fail(500, "Internal Server Error", &e.to_string());
-        }
+        Err(e) => return fail(500, "Internal Server Error", &e.to_string()),
     };
-    let decode_secs = span.finish();
-    drop(decode_span);
     let body = match serde_json::to_string(&decoded) {
         Ok(body) => Arc::new(body),
         Err(e) => {

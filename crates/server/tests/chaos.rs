@@ -2,7 +2,7 @@
 //! frame class is pinned to its exact status code and `server.http.*`
 //! counter deltas, a slow-loris dribbler is cut off by the per-request
 //! deadline (not one-byte-per-tick forever), and a client vanishing
-//! mid-microbatch costs nobody else a byte of their response.
+//! mid-request costs nobody else a byte of their response.
 
 use atena_core::{train_policy_bundle, AtenaConfig, PolicyBundle, Strategy};
 use atena_dataframe::{AttrRole, DataFrame};
@@ -305,35 +305,27 @@ fn slow_loris_dribble_is_cut_at_the_request_deadline() {
     handle.shutdown();
 }
 
-/// The N−1 regression: one of N concurrent clients on a *microbatched*
-/// server vanishes mid-request/mid-flush. The surviving N−1 responses
-/// must stay byte-identical to a serial (unbatched) server's, and the
-/// batch queue must keep working afterwards — including for the
-/// victim's own request when it is retried.
+/// The N−1 regression: one of N concurrent clients vanishes mid-request.
+/// The surviving N−1 responses must stay byte-identical to the same
+/// requests served one at a time, and the server must keep working
+/// afterwards — including for the victim's own request when it is retried.
 #[test]
-fn follower_disconnect_mid_batch_leaves_other_responses_byte_identical() {
-    let bundle = tiny_bundle();
-    let spawn = |max_batch: usize| {
-        let engine = Engine::new(bundle.clone(), base()).unwrap();
-        let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
-        let server = Server::bind_with_telemetry(
-            ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                workers: 8,
-                cache_size: 0, // every request decodes through the batcher
-                max_batch,
-                batch_window: Duration::from_millis(2),
-                ..Default::default()
-            },
-            engine,
-            Arc::clone(&telemetry),
-        )
-        .unwrap();
-        let addr = server.local_addr().unwrap();
-        (server.spawn().unwrap(), addr, telemetry)
-    };
-    let (serial_handle, serial_addr, _) = spawn(1);
-    let (batched_handle, batched_addr, batched_telemetry) = spawn(4);
+fn client_disconnect_mid_request_leaves_concurrent_responses_byte_identical() {
+    let engine = Engine::new(tiny_bundle(), base()).unwrap();
+    let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
+    let server = Server::bind_with_telemetry(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 8,
+            cache_size: 0, // every request decodes
+            ..Default::default()
+        },
+        engine,
+        Arc::clone(&telemetry),
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = server.spawn().unwrap();
 
     let request_for = |seed: u64| {
         let body = format!(r#"{{"dataset":"tiny","episode_len":6,"seed":{seed}}}"#);
@@ -344,32 +336,32 @@ fn follower_disconnect_mid_batch_leaves_other_responses_byte_identical() {
         )
     };
 
-    // Reference bytes from the serial server.
+    // Reference bytes from sequential requests.
     let seeds: Vec<u64> = (0..6).collect();
     let reference: Vec<String> = seeds
         .iter()
         .map(|&s| {
-            let (status, body) = exchange(serial_addr, request_for(s).as_bytes()).unwrap();
+            let (status, body) = exchange(addr, request_for(s).as_bytes()).unwrap();
             assert_eq!(status, 200, "{body}");
             body
         })
         .collect();
 
-    // N concurrent clients against the batched server; the victim (seed
-    // 2) sends its request and immediately vanishes, so its in-flight
-    // decode steps die somewhere between queue and response write.
+    // N concurrent clients; the victim (seed 2) sends its request and
+    // immediately vanishes, so its in-flight decode dies somewhere before
+    // the response write.
     let victim_seed = 2u64;
     let clients: Vec<_> = seeds
         .iter()
         .map(|&s| {
             std::thread::spawn(move || {
-                let mut stream = TcpStream::connect(batched_addr).unwrap();
+                let mut stream = TcpStream::connect(addr).unwrap();
                 stream
                     .set_read_timeout(Some(Duration::from_secs(20)))
                     .unwrap();
                 stream.write_all(request_for(s).as_bytes()).unwrap();
                 if s == victim_seed {
-                    drop(stream); // vanish mid-batch
+                    drop(stream); // vanish mid-request
                     return None;
                 }
                 Some(read_response(&mut stream).expect("survivor got a response"))
@@ -388,27 +380,21 @@ fn follower_disconnect_mid_batch_leaves_other_responses_byte_identical() {
         assert_eq!(*status, 200, "seed {seed}: {body}");
         assert_eq!(
             body, &reference[i],
-            "seed {seed}: survivor diverged from the serial server"
+            "seed {seed}: survivor diverged from the sequential reference"
         );
     }
 
-    // The queue is not wedged and the victim's request still decodes to
+    // The server is not wedged and the victim's request still decodes to
     // the same bytes when retried on a fresh connection.
-    let (status, body) = exchange(batched_addr, request_for(victim_seed).as_bytes()).unwrap();
+    let (status, body) = exchange(addr, request_for(victim_seed).as_bytes()).unwrap();
     assert_eq!(status, 200, "{body}");
     assert_eq!(
         body, reference[victim_seed as usize],
         "retried victim request diverged"
     );
 
-    // The batcher actually ran (this test is about batched flushes), and
-    // no worker died doing it.
-    let snap = batched_telemetry.snapshot();
-    let flushes = snap.counter("batch.flush.full").unwrap_or(0)
-        + snap.counter("batch.flush.timeout").unwrap_or(0);
-    assert!(flushes > 0, "decodes never went through the microbatcher");
-    assert_eq!(snap.counter("server.pool.panics"), None);
+    // No worker died serving the vanished client.
+    assert_eq!(telemetry.snapshot().counter("server.pool.panics"), None);
 
-    serial_handle.shutdown();
-    batched_handle.shutdown();
+    handle.shutdown();
 }
