@@ -4,17 +4,12 @@
 //!
 //! ```text
 //! loadgen --addr 127.0.0.1:8080 --requests 200 --concurrency 8 \
-//!         --dataset cyber1 [--episode-len N] [--seed N] \
-//!         [--bench-out BENCH_serving.json]
+//!         --dataset cyber1 [--episode-len N] [--seed N]
 //! ```
 //!
-//! With `--bench-out`, the run's QPS, latency quantiles, and cache-hit
-//! counts persist as a versioned JSON record (the CI serving-perf
-//! artifact).
-//!
 //! Identical requests must produce identical responses (the server decodes
-//! greedily from a fixed seed and caches); any divergence is reported and
-//! fails the run.
+//! greedily from a fixed seed and caches); any divergence or worker error
+//! is reported and fails the run.
 //!
 //! ## Mixed-tenant mode (`--mode mixed`)
 //!
@@ -31,7 +26,8 @@
 //! "loadgen-mixed"`).
 
 use atena_bench::chaos::quantile;
-use std::io::{Read, Write};
+use atena_server::{read_response, ClientResponse};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -86,29 +82,12 @@ struct LatencyRecord {
     p99_ms: f64,
 }
 
-/// The persisted `BENCH_serving.json` schema (`version` guards consumers
-/// against silent shape drift).
-#[derive(serde::Serialize)]
-struct BenchRecord {
-    version: u32,
-    bench: &'static str,
-    dataset: String,
-    requests: usize,
-    concurrency: usize,
-    wall_secs: f64,
-    qps: f64,
-    latency: LatencyRecord,
-    cache_hits: usize,
-    identical_responses: bool,
-}
-
 const USAGE: &str = "\
 loadgen — concurrency driver for `atena serve`
 
 USAGE:
   loadgen [--addr A] [--requests N] [--concurrency N]
           [--dataset ID] [--episode-len N] [--seed N]
-          [--bench-out BENCH_serving.json]
   loadgen --mode mixed [--tenants N] [--rate R] [--hog-factor F]
           [--upload-csv data.csv] [--requests N] [--addr A]
           [--episode-len N] [--bench-out BENCH_multitenant.json]
@@ -191,6 +170,9 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
         }
         i += 2;
     }
+    if config.mode == Mode::Closed && config.bench_out.is_some() {
+        return Err(format!("--bench-out needs --mode mixed\n\n{USAGE}"));
+    }
     Ok(config)
 }
 
@@ -239,64 +221,17 @@ fn worker(
         let mut conn = conn;
         let start = Instant::now();
         conn.write_all(raw_request).map_err(|e| e.to_string())?;
-        let (status, headers, body) = read_response(&mut conn)?;
+        let response = read_response(&mut conn).map_err(|e| e.to_string())?;
         latencies.push(start.elapsed());
-        if status != 200 {
-            return Err(format!("HTTP {status}: {body}"));
+        if response.status != 200 {
+            return Err(format!("HTTP {}: {}", response.status, response.body));
         }
-        if headers
-            .iter()
-            .any(|(n, v)| n == "x-atena-cache" && v == "hit")
-        {
+        if response.header("x-atena-cache") == Some("hit") {
             cache_hits += 1;
         }
-        bodies.push(body);
+        bodies.push(response.body);
         stream = Some(conn); // reuse the connection
     }
-}
-
-/// Read one HTTP response (head + Content-Length body) from the stream.
-fn read_response(stream: &mut TcpStream) -> Result<(u16, Vec<(String, String)>, String), String> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 8192];
-    loop {
-        if let Some(parsed) = try_parse(&buf)? {
-            return Ok(parsed);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err("server closed mid-response".into()),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(format!("read: {e}")),
-        }
-    }
-}
-
-#[allow(clippy::type_complexity)]
-fn try_parse(buf: &[u8]) -> Result<Option<(u16, Vec<(String, String)>, String)>, String> {
-    let text = String::from_utf8_lossy(buf);
-    let Some((head, rest)) = text.split_once("\r\n\r\n") else {
-        return Ok(None);
-    };
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or_default();
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    let len: usize = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(0);
-    if rest.len() < len {
-        return Ok(None);
-    }
-    Ok(Some((status, headers, rest[..len].to_string())))
 }
 
 // ---- mixed-tenant open-loop mode ---------------------------------------
@@ -329,14 +264,14 @@ struct MixedBenchRecord {
 }
 
 /// One fresh-connection HTTP exchange.
-fn one_shot(addr: &str, raw: &[u8]) -> Result<(u16, Vec<(String, String)>, String), String> {
+fn one_shot(addr: &str, raw: &[u8]) -> Result<ClientResponse, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .map_err(|e| e.to_string())?;
     stream.set_nodelay(true).ok();
     stream.write_all(raw).map_err(|e| e.to_string())?;
-    read_response(&mut stream)
+    read_response(&mut stream).map_err(|e| e.to_string())
 }
 
 /// Upload one tenant's CSV variant; returns the content-addressed
@@ -348,7 +283,7 @@ fn upload_variant(addr: &str, tenant: &str, csv: &str) -> Result<String, String>
          Content-Length: {}\r\nConnection: close\r\n\r\n{csv}",
         csv.len()
     );
-    let (status, _, body) = one_shot(addr, raw.as_bytes())?;
+    let ClientResponse { status, body, .. } = one_shot(addr, raw.as_bytes())?;
     if status != 200 && status != 201 {
         return Err(format!("upload for {tenant}: HTTP {status}: {body}"));
     }
@@ -484,14 +419,11 @@ fn run_mixed(config: &Config) -> i32 {
                     let transport_errors = Arc::clone(&transport_errors);
                     shots.push(std::thread::spawn(move || {
                         match one_shot(&addr, raw.as_bytes()) {
-                            Ok((status, headers, _)) => {
-                                let cache_hit = headers
-                                    .iter()
-                                    .any(|(n, v)| n == "x-atena-cache" && v == "hit");
+                            Ok(response) => {
                                 outcomes.lock().unwrap().push(ShotOutcome {
                                     tenant: t,
-                                    status,
-                                    cache_hit,
+                                    status: response.status,
+                                    cache_hit: response.header("x-atena-cache") == Some("hit"),
                                     latency: scheduled.elapsed(),
                                 });
                             }
@@ -666,32 +598,6 @@ fn main() {
             "latency {label}  {:>10.3} ms",
             quantile(&latencies, q).as_secs_f64() * 1e3
         );
-    }
-    if let Some(path) = &config.bench_out {
-        let record = BenchRecord {
-            version: 1,
-            bench: "loadgen",
-            dataset: config.dataset.clone(),
-            requests: latencies.len(),
-            concurrency: config.concurrency,
-            wall_secs: elapsed.as_secs_f64(),
-            qps: latencies.len() as f64 / secs,
-            latency: LatencyRecord {
-                mean_ms: total.as_secs_f64() * 1e3 / latencies.len() as f64,
-                p50_ms: quantile(&latencies, 0.50).as_secs_f64() * 1e3,
-                p95_ms: quantile(&latencies, 0.95).as_secs_f64() * 1e3,
-                p99_ms: quantile(&latencies, 0.99).as_secs_f64() * 1e3,
-            },
-            cache_hits,
-            identical_responses: divergent == 0,
-        };
-        match atena_bench::dump_json_to(std::path::Path::new(path), &record) {
-            Ok(()) => println!("bench record written to {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
     }
     if divergent > 0 {
         eprintln!("FAIL: {divergent} responses diverged from the first");

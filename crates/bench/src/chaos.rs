@@ -26,6 +26,7 @@
 //! The `chaos` binary wires this module to a self-hosted server from a
 //! checkpoint and persists `BENCH_chaos.json`.
 
+use atena_server::{parse_response, read_response, ClientResponse, ReadEnd};
 use serde::Serialize;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -182,45 +183,23 @@ impl std::fmt::Display for Observed {
     }
 }
 
-/// Read one HTTP response (or its absence) off `stream` and classify it.
-pub fn read_outcome(stream: &mut TcpStream) -> Observed {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 8192];
-    loop {
-        if let Some((code, body)) = try_parse_response(&buf) {
-            return Observed::Status { code, body };
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Observed::Closed,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Observed::ReadTimeout;
-            }
-            // A reset after a complete response never reaches here (the
-            // parse above wins); mid-stream it means the server cut us off.
-            Err(_) => return Observed::Closed,
+impl From<ClientResponse> for Observed {
+    fn from(r: ClientResponse) -> Self {
+        Observed::Status {
+            code: r.status,
+            body: r.body,
         }
     }
 }
 
-/// Parse a complete `head + Content-Length body` response out of `buf`.
-pub fn try_parse_response(buf: &[u8]) -> Option<(u16, String)> {
-    let text = String::from_utf8_lossy(buf);
-    let (head, rest) = text.split_once("\r\n\r\n")?;
-    let mut lines = head.split("\r\n");
-    let code: u16 = lines.next()?.split(' ').nth(1)?.parse().ok()?;
-    let len: usize = lines
-        .filter_map(|l| l.split_once(':'))
-        .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok())
-        .unwrap_or(0);
-    if rest.len() < len {
-        return None;
+/// Read one HTTP response (or its absence) off `stream` and classify it.
+pub fn read_outcome(stream: &mut TcpStream) -> Observed {
+    match read_response(stream) {
+        Ok(r) => r.into(),
+        Err(ReadEnd::Timeout) => Observed::ReadTimeout,
+        // Mid-stream, a reset means the server cut us off.
+        Err(ReadEnd::Closed | ReadEnd::Error(_)) => Observed::Closed,
     }
-    Some((code, rest[..len].to_string()))
 }
 
 // ---- scenarios ---------------------------------------------------------
@@ -596,36 +575,29 @@ fn dribble_until_cut(
         let write_failed = stream.write_all(std::slice::from_ref(byte)).is_err();
         // Poll (10 ms read timeout) for an early 408 between bytes.
         match stream.read(&mut chunk) {
-            Ok(0) => {
-                return match try_parse_response(&response) {
-                    Some((code, body)) => Observed::Status { code, body },
-                    None => Observed::Closed,
-                }
-            }
+            Ok(0) => return hung_up(&response),
             Ok(n) => {
                 response.extend_from_slice(&chunk[..n]);
-                if let Some((code, body)) = try_parse_response(&response) {
-                    return Observed::Status { code, body };
+                if let Some(r) = parse_response(&response) {
+                    return r.into();
                 }
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => {
-                return match try_parse_response(&response) {
-                    Some((code, body)) => Observed::Status { code, body },
-                    None => Observed::Closed,
-                }
-            }
+            Err(_) => return hung_up(&response),
         }
         if write_failed {
-            return match try_parse_response(&response) {
-                Some((code, body)) => Observed::Status { code, body },
-                None => Observed::Closed,
-            };
+            return hung_up(&response);
         }
     }
     Observed::Transport("dribble source exhausted before the server reacted".into())
+}
+
+/// Once the server hangs up, whatever complete response arrived is the
+/// outcome.
+fn hung_up(response: &[u8]) -> Observed {
+    parse_response(response).map_or(Observed::Closed, Observed::from)
 }
 
 // ---- good-client latency under attack ----------------------------------
@@ -986,24 +958,6 @@ pub fn run_soak(target: &ChaosTarget, options: &SoakOptions) -> SoakReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn response_parser_handles_split_and_complete_frames() {
-        let full = b"HTTP/1.1 404 Not Found\r\nContent-Length: 5\r\n\r\nhello";
-        assert_eq!(try_parse_response(full), Some((404, "hello".to_string())));
-        // Body not yet complete → keep reading.
-        assert_eq!(
-            try_parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhel"),
-            None
-        );
-        // No blank line yet → keep reading.
-        assert_eq!(try_parse_response(b"HTTP/1.1 200 OK\r\n"), None);
-        // No Content-Length → empty body.
-        assert_eq!(
-            try_parse_response(b"HTTP/1.1 204 No Content\r\n\r\n"),
-            Some((204, String::new()))
-        );
-    }
 
     #[test]
     fn every_scenario_has_a_typed_expectation_and_stable_name() {

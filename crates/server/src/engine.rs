@@ -311,7 +311,10 @@ mod tests {
         let e = engine();
         let req = e.validate("tiny", Some(3), Some(7)).unwrap();
         let a = e.decode(&req).unwrap();
+        let cold_hits = e.display_cache().stats().hits;
         let b = e.decode(&req).unwrap();
+        // The warm decode replays the same displays: it must hit the cache.
+        assert!(e.display_cache().stats().hits > cold_hits);
         assert_eq!(a.notebook.cells.len(), 3);
         assert_eq!(
             serde_json::to_string(&a.notebook).unwrap(),

@@ -6,6 +6,11 @@
 //! of a request stay buffered, which is exactly what pipelined keep-alive
 //! clients need. Limits (header size, body size) are enforced *while*
 //! reading, so an oversized request is rejected without buffering it all.
+//!
+//! The client side is one response reader, [`read_response`], shared by
+//! every std client of the server (load generator, chaos harness, tests).
+//! It frames `head + Content-Length body` on bytes and decodes the body
+//! only once all of it has arrived.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -536,6 +541,92 @@ pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// One HTTP response as a client reads it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClientResponse {
+    /// Status code.
+    pub status: u16,
+    /// Header `(name, value)` pairs; names lowercased, values trimmed.
+    pub headers: Vec<(String, String)>,
+    /// The `Content-Length` body, decoded as UTF-8 once complete (invalid
+    /// sequences become U+FFFD).
+    pub body: String,
+}
+
+impl ClientResponse {
+    /// Value of the first header named `name` (lowercase).
+    pub fn header(&self, name: &str) -> Option<&str> {
+        header_value(&self.headers, name)
+    }
+}
+
+/// How [`read_response`] ended without a complete response.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadEnd {
+    /// The peer closed the connection.
+    Closed,
+    /// The socket's read timeout fired.
+    Timeout,
+    /// Any other transport error (a reset, for instance).
+    Error(ErrorKind),
+}
+
+impl std::fmt::Display for ReadEnd {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReadEnd::Closed => write!(f, "connection closed before a full response"),
+            ReadEnd::Timeout => write!(f, "read timed out before a full response"),
+            ReadEnd::Error(kind) => write!(f, "read error {kind} before a full response"),
+        }
+    }
+}
+
+/// Parse one complete `head + Content-Length body` response from the start
+/// of `buf`; `None` while the head or the body is incomplete, or when the
+/// status line is malformed. A missing `Content-Length` means an empty
+/// body.
+pub fn parse_response(buf: &[u8]) -> Option<ClientResponse> {
+    let head_end = find_head_end(buf)?;
+    let head = std::str::from_utf8(&buf[..head_end]).ok()?;
+    let mut lines = head.split("\r\n");
+    let status = lines.next()?.split(' ').nth(1)?.parse().ok()?;
+    let headers: Vec<(String, String)> = lines
+        .filter_map(|l| l.split_once(':'))
+        .map(|(n, v)| (n.to_ascii_lowercase(), v.trim().to_string()))
+        .collect();
+    let len: usize = header_value(&headers, "content-length")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    let body_start = head_end + 4;
+    let body = buf.get(body_start..body_start.checked_add(len)?)?;
+    Some(ClientResponse {
+        status,
+        headers,
+        body: String::from_utf8_lossy(body).into_owned(),
+    })
+}
+
+/// Read one response off `stream`, or say how the stream ended first.
+/// Bytes past the response are not kept.
+pub fn read_response(stream: &mut impl Read) -> Result<ClientResponse, ReadEnd> {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 8192];
+    loop {
+        if let Some(response) = parse_response(&buf) {
+            return Ok(response);
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => return Err(ReadEnd::Closed),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                return Err(ReadEnd::Timeout)
+            }
+            Err(e) => return Err(ReadEnd::Error(e.kind())),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -877,6 +968,70 @@ mod tests {
         assert_eq!(
             String::from_utf8(r.body).unwrap(),
             "{\"error\":\"bad \\\"json\\\"\\n\"}"
+        );
+    }
+
+    #[test]
+    fn response_parser_handles_split_and_complete_frames() {
+        let full =
+            b"HTTP/1.1 404 Not Found\r\nContent-Length: 5\r\nX-Atena-Cache: hit\r\n\r\nhello";
+        let parsed = parse_response(full).unwrap();
+        assert_eq!((parsed.status, parsed.body.as_str()), (404, "hello"));
+        assert_eq!(parsed.header("x-atena-cache"), Some("hit"));
+        // Body not yet complete → keep reading.
+        assert_eq!(
+            parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhel"),
+            None
+        );
+        // No blank line yet → keep reading.
+        assert_eq!(parse_response(b"HTTP/1.1 200 OK\r\n"), None);
+        // No Content-Length → empty body.
+        let empty = parse_response(b"HTTP/1.1 204 No Content\r\n\r\n").unwrap();
+        assert_eq!((empty.status, empty.body.as_str()), (204, ""));
+    }
+
+    /// A read can end inside a multi-byte character; framing on decoded
+    /// text then miscounts the body (or slices inside a character). Every
+    /// strict prefix must parse as incomplete, the full response as the
+    /// exact body.
+    #[test]
+    fn response_framing_counts_bytes_not_chars() {
+        for body in ["xé", "ab…", "a😀b", "é…😀"] {
+            let raw = format!(
+                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            let raw = raw.as_bytes();
+            for cut in 0..raw.len() {
+                assert_eq!(parse_response(&raw[..cut]), None, "{body:?} cut at {cut}");
+            }
+            assert_eq!(parse_response(raw).unwrap().body, body);
+        }
+    }
+
+    #[test]
+    fn read_response_says_how_the_stream_ended() {
+        let full = "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nab…";
+        let got = read_response(&mut Chunked::new(full, 1)).unwrap();
+        assert_eq!(got.body, "ab…");
+        let cut = &full.as_bytes()[..full.len() - 1];
+        assert_eq!(
+            read_response(&mut Chunked::new(cut, 3)),
+            Err(ReadEnd::Closed)
+        );
+        struct Failing(ErrorKind);
+        impl Read for Failing {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(self.0.into())
+            }
+        }
+        assert_eq!(
+            read_response(&mut Failing(ErrorKind::WouldBlock)),
+            Err(ReadEnd::Timeout)
+        );
+        assert_eq!(
+            read_response(&mut Failing(ErrorKind::ConnectionReset)),
+            Err(ReadEnd::Error(ErrorKind::ConnectionReset))
         );
     }
 }

@@ -4,79 +4,29 @@
 //! deadline (not one-byte-per-tick forever), and a client vanishing
 //! mid-request costs nobody else a byte of their response.
 
-use atena_core::{train_policy_bundle, AtenaConfig, PolicyBundle, Strategy};
-use atena_dataframe::{AttrRole, DataFrame};
-use atena_server::{Engine, Server, ServerConfig};
+mod common;
+
+use atena_server::{ClientResponse, Engine, ReadEnd, Server, ServerConfig};
+use common::{base, connect, notebook_request, tiny_bundle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn base() -> DataFrame {
-    DataFrame::builder()
-        .str(
-            "proto",
-            AttrRole::Categorical,
-            (0..60).map(|i| Some(if i % 5 == 0 { "udp" } else { "tcp" })),
-        )
-        .int(
-            "len",
-            AttrRole::Numeric,
-            (0..60).map(|i| Some((i * 13 % 31) as i64)),
-        )
-        .build()
-        .unwrap()
-}
-
-fn tiny_bundle() -> PolicyBundle {
-    let mut config = AtenaConfig::quick();
-    config.train_steps = 300;
-    config.probe_steps = 60;
-    config.env.episode_len = 4;
-    train_policy_bundle("tiny", base(), vec![], config, Strategy::Atena).unwrap()
-}
-
 /// Read one response off the stream; `None` if the server closed (or
 /// reset) without completing one.
 fn read_response(stream: &mut TcpStream) -> Option<(u16, String)> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(parsed) = try_parse(&buf) {
-            return Some(parsed);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return try_parse(&buf),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-        }
-    }
-}
-
-fn try_parse(buf: &[u8]) -> Option<(u16, String)> {
-    let text = String::from_utf8_lossy(buf);
-    let (head, rest) = text.split_once("\r\n\r\n")?;
-    let status: u16 = head.split("\r\n").next()?.split(' ').nth(1)?.parse().ok()?;
-    let len: usize = head
-        .split("\r\n")
-        .filter_map(|l| l.split_once(':'))
-        .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok())
-        .unwrap_or(0);
-    if rest.len() < len {
-        return None;
-    }
-    Some((status, rest[..len].to_string()))
+    parts(atena_server::read_response(stream))
 }
 
 /// Write a raw frame (tolerating an answer-and-reset cutoff mid-write)
 /// and read back whatever the server produced.
 fn exchange(addr: SocketAddr, raw: &[u8]) -> Option<(u16, String)> {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    let _ = stream.write_all(raw);
-    read_response(&mut stream)
+    parts(common::exchange(addr, raw))
+}
+
+fn parts(read: Result<ClientResponse, ReadEnd>) -> Option<(u16, String)> {
+    read.ok().map(|r| (r.status, r.body))
 }
 
 fn spawn_server(
@@ -187,10 +137,7 @@ fn byzantine_frames_exact_statuses_and_counter_deltas() {
     // garbage behind it is a parse error, then close.
     {
         let before = telemetry.snapshot();
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
+        let mut stream = connect(addr);
         stream
             .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n%%% garbage %%%\r\n\r\n")
             .unwrap();
@@ -215,12 +162,7 @@ fn byzantine_frames_exact_statuses_and_counter_deltas() {
     }
 
     // The pool survived all of it: a healthy request decodes fine.
-    let body = r#"{"dataset":"tiny","episode_len":3,"seed":1}"#;
-    let raw = format!(
-        "POST /v1/notebook HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
+    let raw = notebook_request(r#"{"dataset":"tiny","episode_len":3,"seed":1}"#);
     let (status, response) = exchange(addr, raw.as_bytes()).expect("healthy request answered");
     assert_eq!(status, 200, "{response}");
     assert_eq!(telemetry.snapshot().counter("server.pool.panics"), None);
@@ -277,12 +219,7 @@ fn slow_loris_dribble_is_cut_at_the_request_deadline() {
     });
 
     // While the dribble is in flight, healthy clients are unaffected.
-    let body = r#"{"dataset":"tiny","episode_len":3,"seed":2}"#;
-    let raw = format!(
-        "POST /v1/notebook HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
+    let raw = notebook_request(r#"{"dataset":"tiny","episode_len":3,"seed":2}"#);
     let (status, _) = exchange(addr, raw.as_bytes()).expect("healthy request during dribble");
     assert_eq!(status, 200);
 
@@ -328,12 +265,9 @@ fn client_disconnect_mid_request_leaves_concurrent_responses_byte_identical() {
     let handle = server.spawn().unwrap();
 
     let request_for = |seed: u64| {
-        let body = format!(r#"{{"dataset":"tiny","episode_len":6,"seed":{seed}}}"#);
-        format!(
-            "POST /v1/notebook HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )
+        notebook_request(&format!(
+            r#"{{"dataset":"tiny","episode_len":6,"seed":{seed}}}"#
+        ))
     };
 
     // Reference bytes from sequential requests.
@@ -355,10 +289,7 @@ fn client_disconnect_mid_request_leaves_concurrent_responses_byte_identical() {
         .iter()
         .map(|&s| {
             std::thread::spawn(move || {
-                let mut stream = TcpStream::connect(addr).unwrap();
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(20)))
-                    .unwrap();
+                let mut stream = connect(addr);
                 stream.write_all(request_for(s).as_bytes()).unwrap();
                 if s == victim_seed {
                     drop(stream); // vanish mid-request

@@ -4,109 +4,37 @@
 //! check response identity, cache behaviour, metrics, and graceful
 //! shutdown.
 
-use atena_core::{train_policy_bundle, AtenaConfig, PolicyBundle, Strategy};
-use atena_dataframe::{AttrRole, DataFrame};
+mod common;
+
+use atena_core::PolicyBundle;
+use atena_dataframe::DataFrame;
 use atena_registry::{dataset_id_for_fingerprint, RegistryConfig, TenantLimits};
-use atena_server::{Engine, Server, ServerConfig};
-use std::io::{Read, Write};
+use atena_server::{read_response, ClientResponse, Engine, ReadEnd, Server, ServerConfig};
+use common::{base, connect, exchange, notebook_request, tiny_bundle};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn base() -> DataFrame {
-    DataFrame::builder()
-        .str(
-            "proto",
-            AttrRole::Categorical,
-            (0..60).map(|i| Some(if i % 5 == 0 { "udp" } else { "tcp" })),
-        )
-        .int(
-            "len",
-            AttrRole::Numeric,
-            (0..60).map(|i| Some((i * 13 % 31) as i64)),
-        )
-        .build()
-        .unwrap()
-}
-
-fn tiny_bundle() -> PolicyBundle {
-    let mut config = AtenaConfig::quick();
-    config.train_steps = 300;
-    config.probe_steps = 60;
-    config.env.episode_len = 4;
-    train_policy_bundle("tiny", base(), vec![], config, Strategy::Atena).unwrap()
-}
-
 /// One blocking HTTP exchange on a fresh connection.
 fn http_request(addr: SocketAddr, raw: &str) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    // The server may respond-and-reset before consuming the whole request
-    // (oversized bodies), so a failed tail write is acceptable.
-    let _ = stream.write_all(raw.as_bytes());
-    read_one_response(&mut stream)
+    parts(exchange(addr, raw.as_bytes()))
 }
 
 /// Read exactly one response: head, then Content-Length body bytes. A reset
 /// after a complete response has arrived (server rejecting an undrained
 /// body) is tolerated.
 fn read_one_response(stream: &mut TcpStream) -> (u16, Vec<(String, String)>, String) {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(parsed) = try_parse_response(&buf) {
-            return parsed;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => panic!(
-                "connection closed before a full response; got {:?}",
-                String::from_utf8_lossy(&buf)
-            ),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => panic!(
-                "read error {e} before a full response; got {:?}",
-                String::from_utf8_lossy(&buf)
-            ),
-        }
-    }
+    parts(read_response(stream))
 }
 
-fn try_parse_response(bytes: &[u8]) -> Option<(u16, Vec<(String, String)>, String)> {
-    let text = String::from_utf8_lossy(bytes).into_owned();
-    let (head, rest) = text.split_once("\r\n\r\n")?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap();
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    let len: usize = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(0);
-    if rest.len() < len {
-        return None;
-    }
-    Some((status, headers, rest[..len].to_string()))
+fn parts(read: Result<ClientResponse, ReadEnd>) -> (u16, Vec<(String, String)>, String) {
+    let r = read.unwrap_or_else(|end| panic!("{end}"));
+    (r.status, r.headers, r.body)
 }
 
 fn post_notebook(addr: SocketAddr, body: &str) -> (u16, Vec<(String, String)>, String) {
-    http_request(
-        addr,
-        &format!(
-            "POST /v1/notebook HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+    http_request(addr, &notebook_request(body))
 }
 
 fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
@@ -261,10 +189,7 @@ fn checkpoint_serve_concurrent_cache_metrics_shutdown() {
 
     // 8. Keep-alive: two requests on one connection.
     {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
+        let mut stream = connect(addr);
         stream
             .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
             .unwrap();
@@ -443,10 +368,7 @@ fn tracing_debug_ring_and_prometheus_over_http() {
 
     // 2. Keep-alive reuse is counted (two requests, one connection).
     {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
+        let mut stream = connect(addr);
         stream
             .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
             .unwrap();
