@@ -23,15 +23,14 @@
 //! `/v1/metrics` for the `server.mem.rss_bytes` gauge (flat-memory
 //! assertion), monotone counters, and advancing eviction counters.
 //!
-//! The `chaos` binary wires this module to a self-hosted server from a
-//! checkpoint and persists `BENCH_chaos.json`.
+//! `tests/chaos_harness.rs` wires this module to a self-hosted server
+//! and asserts every verdict.
 
 use atena_server::{parse_response, read_response, ClientResponse, ReadEnd};
-use serde::Serialize;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Grace added to the server's per-request deadline when asserting that
@@ -78,16 +77,15 @@ impl ChaosTarget {
     }
 
     /// One good-client exchange: must be a 200 whose body is
-    /// byte-identical to the offline decode. Returns the latency.
-    pub fn good_shot(&self) -> Result<Duration, String> {
-        let started = Instant::now();
+    /// byte-identical to the offline decode.
+    pub fn good_shot(&self) -> Result<(), String> {
         let mut stream = connect(&self.addr, CLIENT_READ_TIMEOUT)?;
         let raw = self.notebook_raw(None);
         stream.write_all(&raw).map_err(|e| format!("write: {e}"))?;
         match read_outcome(&mut stream) {
             Observed::Status { code: 200, body } => {
                 if body == self.expected_body {
-                    Ok(started.elapsed())
+                    Ok(())
                 } else {
                     Err(format!(
                         "response diverged from offline decode ({} vs {} bytes)",
@@ -233,7 +231,7 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// Stable scenario name for reports and the BENCH artifact.
+    /// Stable scenario name for reports.
     pub fn name(&self) -> &'static str {
         match self {
             Scenario::SlowLorisHeaders { .. } => "slow_loris_headers",
@@ -322,8 +320,8 @@ pub fn scenario_matrix(target: &ChaosTarget) -> Vec<Scenario> {
     ]
 }
 
-/// One scenario's verdict, as persisted in `BENCH_chaos.json`.
-#[derive(Debug, Clone, Serialize)]
+/// One scenario's verdict.
+#[derive(Debug, Clone)]
 pub struct ScenarioReport {
     pub scenario: String,
     pub expected: String,
@@ -600,50 +598,14 @@ fn hung_up(response: &[u8]) -> Observed {
     parse_response(response).map_or(Observed::Closed, Observed::from)
 }
 
-// ---- good-client latency under attack ----------------------------------
-
-/// Latency quantiles of a set of good-client exchanges.
-#[derive(Debug, Clone, Serialize)]
-pub struct LatencySummary {
-    pub requests: usize,
-    pub mean_ms: f64,
-    pub p50_ms: f64,
-    pub p95_ms: f64,
-    pub p99_ms: f64,
-}
-
-/// Nearest-rank quantile over a sorted slice.
-pub fn quantile(sorted: &[Duration], q: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Summarize (and sort) a latency sample.
-pub fn latency_summary(latencies: &mut Vec<Duration>) -> LatencySummary {
-    latencies.sort();
-    let mean_ms = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies.iter().map(Duration::as_secs_f64).sum::<f64>() * 1e3 / latencies.len() as f64
-    };
-    LatencySummary {
-        requests: latencies.len(),
-        mean_ms,
-        p50_ms: quantile(latencies, 0.50).as_secs_f64() * 1e3,
-        p95_ms: quantile(latencies, 0.95).as_secs_f64() * 1e3,
-        p99_ms: quantile(latencies, 0.99).as_secs_f64() * 1e3,
-    }
-}
+// ---- good client under attack ----------------------------------------
 
 /// A background good-traffic loop: byte-identity-checked requests until
-/// [`GoodTraffic::stop`], collecting latencies and divergences.
+/// [`GoodTraffic::stop`], counting good and divergent shots.
 pub struct GoodTraffic {
     stop: Arc<AtomicBool>,
+    good: Arc<AtomicUsize>,
     divergences: Arc<AtomicUsize>,
-    latencies: Arc<Mutex<Vec<Duration>>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -651,48 +613,42 @@ impl GoodTraffic {
     /// Start the loop against `target`, pausing `pace` between shots.
     pub fn start(target: ChaosTarget, pace: Duration) -> GoodTraffic {
         let stop = Arc::new(AtomicBool::new(false));
+        let good = Arc::new(AtomicUsize::new(0));
         let divergences = Arc::new(AtomicUsize::new(0));
-        let latencies = Arc::new(Mutex::new(Vec::new()));
         let thread = {
             let stop = Arc::clone(&stop);
+            let good = Arc::clone(&good);
             let divergences = Arc::clone(&divergences);
-            let latencies = Arc::clone(&latencies);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
-                    match target.good_shot() {
-                        Ok(latency) => latencies
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push(latency),
-                        Err(_) => {
-                            divergences.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
+                    let tally = if target.good_shot().is_ok() {
+                        &good
+                    } else {
+                        &divergences
+                    };
+                    tally.fetch_add(1, Ordering::SeqCst);
                     std::thread::sleep(pace);
                 }
             })
         };
         GoodTraffic {
             stop,
+            good,
             divergences,
-            latencies,
             thread: Some(thread),
         }
     }
 
-    /// Stop the loop; returns `(latencies, failed_or_divergent_shots)`.
-    pub fn stop(mut self) -> (Vec<Duration>, usize) {
+    /// Stop the loop; returns `(good_shots, failed_or_divergent_shots)`.
+    pub fn stop(mut self) -> (usize, usize) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
-        let latencies = std::mem::take(
-            &mut *self
-                .latencies
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        (latencies, self.divergences.load(Ordering::SeqCst))
+        (
+            self.good.load(Ordering::SeqCst),
+            self.divergences.load(Ordering::SeqCst),
+        )
     }
 }
 
@@ -715,21 +671,15 @@ pub struct SoakOptions {
     pub sample_every: Duration,
 }
 
-/// What the soak run measured, persisted under `soak` in
-/// `BENCH_chaos.json`.
-#[derive(Debug, Clone, Serialize)]
+/// What the soak run measured.
+#[derive(Debug, Clone)]
 pub struct SoakReport {
-    pub duration_secs: f64,
     pub good_requests: usize,
     /// Good shots that failed or diverged from the offline decode.
     pub divergences: usize,
     pub byzantine_shots: usize,
-    pub uploads_attempted: usize,
     pub rss_first_bytes: Option<u64>,
     pub rss_max_bytes: Option<u64>,
-    pub rss_last_bytes: Option<u64>,
-    pub rss_growth_bytes: u64,
-    pub rss_budget_bytes: u64,
     pub counters_monotone: bool,
     pub evictions_delta: u64,
     pub metrics_samples: usize,
@@ -831,10 +781,8 @@ pub fn run_soak(target: &ChaosTarget, options: &SoakOptions) -> SoakReport {
 
     // Upload churn: rotate CSV content so every upload is a distinct
     // fingerprint and the registry evicts at capacity.
-    let uploads_attempted = Arc::new(AtomicUsize::new(0));
     let upload_thread = options.upload_csv.clone().map(|base| {
         let stop = Arc::clone(&stop);
-        let uploads_attempted = Arc::clone(&uploads_attempted);
         let target = target.clone();
         std::thread::spawn(move || {
             let mut tag = 0usize;
@@ -853,7 +801,6 @@ pub fn run_soak(target: &ChaosTarget, options: &SoakOptions) -> SoakReport {
                         let _ = read_outcome(&mut stream);
                     }
                 }
-                uploads_attempted.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_millis(25));
             }
         })
@@ -863,7 +810,6 @@ pub fn run_soak(target: &ChaosTarget, options: &SoakOptions) -> SoakReport {
     let mut failures: Vec<String> = Vec::new();
     let mut rss_first = None;
     let mut rss_max: Option<u64> = None;
-    let mut rss_last = None;
     let mut counters_monotone = true;
     let mut prev_counters: std::collections::HashMap<String, u64> = Default::default();
     let mut evictions_first: Option<u64> = None;
@@ -883,7 +829,6 @@ pub fn run_soak(target: &ChaosTarget, options: &SoakOptions) -> SoakReport {
             let rss = rss as u64;
             rss_first.get_or_insert(rss);
             rss_max = Some(rss_max.map_or(rss, |m: u64| m.max(rss)));
-            rss_last = Some(rss);
         }
         for name in MONOTONE_COUNTERS {
             let now = metrics["counters"][*name].as_u64().unwrap_or(0);
@@ -937,16 +882,11 @@ pub fn run_soak(target: &ChaosTarget, options: &SoakOptions) -> SoakReport {
         failures.push("registry at capacity produced no evictions during the soak".into());
     }
     SoakReport {
-        duration_secs: started.elapsed().as_secs_f64(),
         good_requests,
         divergences,
         byzantine_shots: byzantine_count.load(Ordering::SeqCst),
-        uploads_attempted: uploads_attempted.load(Ordering::SeqCst),
         rss_first_bytes: rss_first,
         rss_max_bytes: rss_max,
-        rss_last_bytes: rss_last,
-        rss_growth_bytes: rss_growth,
-        rss_budget_bytes: options.rss_budget_bytes,
         counters_monotone,
         evictions_delta,
         metrics_samples: samples,
@@ -1087,19 +1027,5 @@ mod tests {
             fast,
             &target
         ));
-    }
-
-    #[test]
-    fn quantiles_and_summary() {
-        let mut lat: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let summary = latency_summary(&mut lat);
-        assert_eq!(summary.requests, 100);
-        assert!((summary.p50_ms - 50.0).abs() <= 1.0);
-        assert!((summary.p99_ms - 99.0).abs() <= 1.0);
-        assert!(summary.mean_ms > 49.0 && summary.mean_ms < 52.0);
-        let mut empty = Vec::new();
-        let summary = latency_summary(&mut empty);
-        assert_eq!(summary.requests, 0);
-        assert_eq!(summary.p99_ms, 0.0);
     }
 }

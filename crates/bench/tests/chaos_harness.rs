@@ -1,13 +1,16 @@
-//! Integration test for the chaos harness itself: train a tiny policy,
-//! self-host a server the way the `chaos` binary does, run the full
-//! byzantine scenario matrix (every typed outcome must hold), then a
-//! short CI-sized soak asserting flat RSS, zero transcript divergence,
-//! monotone counters, and registry evictions at capacity.
+//! Integration test for the chaos harness: train a tiny policy,
+//! self-host a server, run the full byzantine scenario matrix with a
+//! concurrent good client (every typed outcome must hold and the good
+//! client must never diverge), then a short soak asserting flat RSS
+//! (48 MiB budget), zero transcript divergence, monotone counters, and
+//! registry evictions at capacity.
 //!
 //! The soak length defaults to 8 s; set `ATENA_SOAK_SECS` to stretch it
 //! for longer local runs.
 
-use atena_bench::chaos::{run_scenario, run_soak, scenario_matrix, ChaosTarget, SoakOptions};
+use atena_bench::chaos::{
+    run_scenario, run_soak, scenario_matrix, ChaosTarget, GoodTraffic, SoakOptions,
+};
 use atena_core::{train_policy_bundle, AtenaConfig, PolicyBundle, Strategy};
 use atena_dataframe::{AttrRole, DataFrame};
 use std::sync::Arc;
@@ -61,8 +64,8 @@ fn scenario_matrix_and_soak_smoke_against_live_server() {
         })
         .collect();
 
-    // Mirror the chaos binary's hostile-friendly config: short deadline,
-    // tiny registry budget, tight admission.
+    // A hostile-friendly config: short deadline, tiny registry budget,
+    // tight admission.
     let request_timeout = Duration::from_millis(700);
     let config = atena_server::ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -102,15 +105,31 @@ fn scenario_matrix_and_soak_smoke_against_live_server() {
 
     // 1. Every scenario in the matrix must hit its typed expectation,
     //    leave the server healthy, and leave good responses
-    //    byte-identical to the offline decode.
+    //    byte-identical to the offline decode — including those of a
+    //    good client running concurrently with every attack.
+    let good = GoodTraffic::start(target.clone(), Duration::from_millis(10));
     for scenario in scenario_matrix(&target) {
         let report = run_scenario(&target, &scenario);
         assert!(
             report.pass,
-            "{}: expected [{}], observed [{}] (probe_ok={}, good_shot_ok={})",
-            report.scenario, report.expected, report.observed, report.probe_ok, report.good_shot_ok
+            "{}: expected [{}], observed [{}] (probe_ok={}, good_shot_ok={}, {:.0} ms)",
+            report.scenario,
+            report.expected,
+            report.observed,
+            report.probe_ok,
+            report.good_shot_ok,
+            report.duration_ms
         );
     }
+    let (good_shots, divergences) = good.stop();
+    assert_eq!(
+        divergences, 0,
+        "good client failed or diverged under attack"
+    );
+    assert!(
+        good_shots > 0,
+        "good client completed no shots under attack"
+    );
 
     // 2. CI-sized soak: mixed good/byzantine traffic with the registry
     //    churning at capacity. Flat memory, monotone counters, zero
@@ -127,7 +146,7 @@ fn scenario_matrix_and_soak_smoke_against_live_server() {
         &target,
         &SoakOptions {
             duration: Duration::from_secs(soak_secs),
-            rss_budget_bytes: 64 << 20,
+            rss_budget_bytes: 48 << 20,
             good_requests,
             upload_csv: Some(base_csv),
             sample_every: Duration::from_millis(500),
@@ -147,7 +166,7 @@ fn scenario_matrix_and_soak_smoke_against_live_server() {
         let first = report.rss_first_bytes.expect("rss gauge sampled");
         let max = report.rss_max_bytes.unwrap();
         assert!(
-            max.saturating_sub(first) <= 64 << 20,
+            max.saturating_sub(first) <= 48 << 20,
             "RSS grew {} -> {max}",
             first
         );

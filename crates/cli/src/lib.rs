@@ -10,7 +10,6 @@
 //! atena demo <dataset-id>   [same options]   # cyber1..cyber4, flights1..flights4
 //! atena datasets                              # list the built-in datasets
 //! atena train <dataset-id>  [--workers N] [--out <ckpt.json>] [--steps N] ...
-//! atena checkpoint save <dataset-id> --out <ckpt.json> [--steps N] ...
 //! atena checkpoint load <ckpt.json>           # validate + describe a checkpoint
 //! atena serve --checkpoint <ckpt.json> [--addr A] [--workers N] [--cache-size N]
 //!                           [--slow-ms N] [--timeout-ms N] [--trace-out traces.jsonl]
@@ -59,8 +58,6 @@ USAGE:
   atena export <dataset-id> <file.csv>  write a built-in dataset as CSV
   atena train <dataset-id>  [OPTIONS]   train a policy on a built-in dataset
                                         (pass --out <ckpt.json> to save it)
-  atena checkpoint save <dataset-id> --out <ckpt.json> [OPTIONS]
-                                        train a policy, save it as a checkpoint
   atena checkpoint load <ckpt.json>     validate + describe a saved checkpoint
   atena serve --checkpoint <ckpt.json>  serve notebooks over HTTP
   atena metrics summarize <m.jsonl>     aggregate a telemetry JSONL file
@@ -146,15 +143,6 @@ pub enum Command {
     TraceSummarize {
         /// Path of the JSONL file written via `--trace-out`.
         path: String,
-    },
-    /// Train a policy on a built-in dataset and save it as a checkpoint.
-    CheckpointSave {
-        /// Dataset id (`cyber1` … `flights4`).
-        id: String,
-        /// Checkpoint output path (from `--out`).
-        out: String,
-        /// Training options (focal/steps/episode-len/strategy/seed).
-        opts: GenerateOpts,
     },
     /// Load, validate, and describe a saved checkpoint.
     CheckpointLoad {
@@ -436,24 +424,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             Ok(Command::Train { id, opts })
         }
         Some("checkpoint") => match args.get(1).map(String::as_str) {
-            Some("save") => {
-                let id = args
-                    .get(2)
-                    .filter(|p| !p.starts_with("--"))
-                    .ok_or_else(|| CliError::Usage("checkpoint save requires a dataset id".into()))?
-                    .clone();
-                let opts = parse_opts(&args[3..])?;
-                let out = opts.out.clone().ok_or_else(|| {
-                    CliError::Usage("checkpoint save requires --out <ckpt.json>".into())
-                })?;
-                if !opts.strategy.is_learned() {
-                    return Err(CliError::Usage(format!(
-                        "strategy {} has no trainable policy to checkpoint",
-                        opts.strategy.name()
-                    )));
-                }
-                Ok(Command::CheckpointSave { id, out, opts })
-            }
             Some("load") => {
                 let path = args
                     .get(2)
@@ -464,8 +434,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 Ok(Command::CheckpointLoad { path })
             }
             _ => Err(CliError::Usage(
-                "checkpoint supports: save <dataset-id> --out <ckpt.json> | load <ckpt.json>"
-                    .into(),
+                "checkpoint supports: load <ckpt.json>".into(),
             )),
         },
         Some("serve") => {
@@ -984,36 +953,6 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 out.push_str(&format!("\nwritten to {path}"));
             }
             Ok(out)
-        }
-        Command::CheckpointSave { id, out, opts } => {
-            apply_telemetry_opts(&opts)?;
-            let dataset = atena_data::dataset_by_id(&id).ok_or_else(|| {
-                CliError::Runtime(format!(
-                    "unknown dataset {id:?}; run `atena datasets` for the list"
-                ))
-            })?;
-            let focal = if opts.focal.is_empty() {
-                dataset.focal_attrs()
-            } else {
-                opts.focal.clone()
-            };
-            atena_telemetry::info!(
-                "training {} for {} steps before checkpointing ...",
-                opts.strategy.name(),
-                opts.steps
-            );
-            let bundle = atena_core::train_policy_bundle(
-                &id,
-                dataset.frame,
-                focal,
-                config_for(&opts),
-                opts.strategy,
-            )
-            .map_err(|e| CliError::Runtime(format!("cannot train checkpoint: {e}")))?;
-            bundle
-                .save(std::path::Path::new(&out))
-                .map_err(|e| CliError::Runtime(format!("cannot save checkpoint: {e}")))?;
-            Ok(format!("{}\nwritten to {out}", bundle.describe()))
         }
         Command::CheckpointLoad { path } => {
             let bundle = atena_core::PolicyBundle::load(std::path::Path::new(&path))
@@ -1552,48 +1491,12 @@ garbage line
 
     #[test]
     fn parses_checkpoint_commands() {
-        let cmd = parse(&args(&[
-            "checkpoint",
-            "save",
-            "cyber1",
-            "--out",
-            "c.json",
-            "--steps",
-            "500",
-            "--episode-len",
-            "6",
-        ]))
-        .unwrap();
-        let Command::CheckpointSave { id, out, opts } = cmd else {
-            panic!()
-        };
-        assert_eq!(id, "cyber1");
-        assert_eq!(out, "c.json");
-        assert_eq!(opts.steps, 500);
-        assert_eq!(opts.episode_len, 6);
         assert_eq!(
             parse(&args(&["checkpoint", "load", "c.json"])).unwrap(),
             Command::CheckpointLoad {
                 path: "c.json".into()
             }
         );
-        // --out is mandatory; greedy strategies have nothing to checkpoint.
-        assert!(matches!(
-            parse(&args(&["checkpoint", "save", "cyber1"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse(&args(&[
-                "checkpoint",
-                "save",
-                "cyber1",
-                "--out",
-                "c.json",
-                "--strategy",
-                "greedy-cr"
-            ])),
-            Err(CliError::Usage(_))
-        ));
         assert!(matches!(
             parse(&args(&["checkpoint"])),
             Err(CliError::Usage(_))

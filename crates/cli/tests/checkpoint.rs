@@ -1,4 +1,4 @@
-//! Integration test for the `atena checkpoint save` / `checkpoint load`
+//! Integration test for the `atena train --out` / `checkpoint load`
 //! CLI path: train a small policy on a built-in dataset, write the
 //! checkpoint to disk through the command layer, then load and validate it
 //! the same way the `serve` command would.
@@ -10,7 +10,7 @@ fn args(list: &[&str]) -> Vec<String> {
 }
 
 #[test]
-fn checkpoint_save_then_load_round_trips() {
+fn train_out_then_checkpoint_load_round_trips() {
     let dir = std::env::temp_dir().join("atena-cli-checkpoint");
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt = dir.join("cyber2.ckpt.json");
@@ -18,8 +18,7 @@ fn checkpoint_save_then_load_round_trips() {
 
     // Save: exercise the real argv surface, not just the Command enum.
     let cmd = parse(&args(&[
-        "checkpoint",
-        "save",
+        "train",
         "cyber2",
         "--out",
         &ckpt_str,

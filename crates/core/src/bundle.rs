@@ -4,8 +4,8 @@
 //! configuration, and network shape.
 //!
 //! This is the artifact the inference server (`atena-server`) loads at
-//! startup and the `atena checkpoint save/load` CLI path produces and
-//! validates.
+//! startup and the `atena train --out` / `checkpoint load` CLI path
+//! produces and validates.
 
 use crate::atena::{Atena, AtenaConfig, Strategy};
 use atena_dataframe::DataFrame;

@@ -78,7 +78,7 @@ fn metrics(addr: SocketAddr) -> serde_json::Value {
 #[test]
 fn checkpoint_serve_concurrent_cache_metrics_shutdown() {
     // 1. Produce a server-loadable checkpoint through the filesystem, as
-    //    `atena checkpoint save` would.
+    //    `atena train --out` would.
     let dir = std::env::temp_dir().join("atena-server-e2e");
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt = dir.join("tiny.ckpt.json");
@@ -938,6 +938,8 @@ fn tenant_admission_throttles_hog_not_others() {
         m["counters"]["admission.rejected"].as_u64(),
         Some(throttled as u64)
     );
+    // Every permit is released once the storm is over: none leak.
+    assert_eq!(m["gauges"]["admission.inflight"].as_f64(), Some(0.0));
     assert!(m["counters"]["server.http.throttled"].as_u64().unwrap() >= 1);
 
     handle.shutdown();
