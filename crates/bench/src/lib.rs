@@ -10,8 +10,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod chaos;
-
 use atena_core::{Atena, AtenaConfig, GenerationResult, Notebook, Strategy};
 use atena_data::{simulate_traces, ExperimentalDataset, TraceConfig};
 use atena_env::EnvConfig;
@@ -201,23 +199,6 @@ pub fn dump_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf
             .as_bytes(),
     )?;
     Ok(path)
-}
-
-/// Write a JSON record to an explicit path (the `--bench-out` flag of the
-/// driver binaries), creating parent directories as needed.
-pub fn dump_json_to<T: Serialize>(path: &std::path::Path, value: &T) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(
-        serde_json::to_string_pretty(value)
-            .expect("serializable")
-            .as_bytes(),
-    )?;
-    file.write_all(b"\n")
 }
 
 /// Format a float with 2 decimals.

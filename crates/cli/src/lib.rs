@@ -89,9 +89,6 @@ OPTIONS:
   --seed <N>          random seed                        [default: 0]
   --workers <N>       rollout threads for training; changes speed, never
                       results (DESIGN.md §4h)   [default: available parallelism]
-  --batch-lanes <N>   row cap of the batched policy forward that steps each
-                      worker's lanes; changes speed, never results
-                      (DESIGN.md §4l)     [default: 0 (whole shard per forward)]
   --out <file.md>     write the notebook as Markdown (default: stdout)
   --json <file.json>  also write the notebook summary as JSON
   --log-level <L>     error | warn | info | debug        [default: $ATENA_LOG or info]
@@ -225,9 +222,6 @@ pub struct GenerateOpts {
     /// Rollout threads for training (`None` = available parallelism).
     /// Execution-only: never affects results.
     pub workers: Option<usize>,
-    /// Row cap of each batched policy forward during rollouts (0 = one
-    /// forward over a worker's whole shard). Execution-only, like `workers`.
-    pub batch_lanes: usize,
     /// Markdown output path (stdout when `None`).
     pub out: Option<String>,
     /// JSON output path.
@@ -249,7 +243,6 @@ impl Default for GenerateOpts {
             strategy: Strategy::Atena,
             seed: 0,
             workers: None,
-            batch_lanes: 0,
             out: None,
             json: None,
             log_level: None,
@@ -317,12 +310,6 @@ fn parse_opts(args: &[String]) -> Result<GenerateOpts, CliError> {
                         .parse()
                         .map_err(|_| CliError::Usage("--workers expects an integer".into()))?,
                 );
-                i += 2;
-            }
-            "--batch-lanes" => {
-                opts.batch_lanes = value(i)?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--batch-lanes expects an integer".into()))?;
                 i += 2;
             }
             "--out" => {
@@ -562,9 +549,6 @@ fn config_for(opts: &GenerateOpts) -> AtenaConfig {
     // guarantees results don't depend on it, so defaulting to whatever
     // the machine has is safe.
     config.trainer.n_workers = opts.workers.unwrap_or_else(atena_runtime::default_workers);
-    // Also execution-only (DESIGN.md §4l): lane batching changes steps/sec,
-    // never the transcript.
-    config.trainer.batch_lanes = opts.batch_lanes;
     config
 }
 
@@ -1446,24 +1430,6 @@ garbage line
         // Unset: auto-detect yields at least one thread.
         let auto = config_for(&GenerateOpts::default());
         assert!(auto.trainer.n_workers >= 1);
-    }
-
-    #[test]
-    fn batch_lanes_flag_parses_on_generate_paths() {
-        let Command::Train { opts, .. } =
-            parse(&args(&["train", "cyber2", "--batch-lanes", "8"])).unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(opts.batch_lanes, 8);
-        let config = config_for(&opts);
-        assert_eq!(config.trainer.batch_lanes, 8);
-        // Default: one forward over each worker's whole shard.
-        assert_eq!(config_for(&GenerateOpts::default()).trainer.batch_lanes, 0);
-        assert!(matches!(
-            parse(&args(&["train", "cyber2", "--batch-lanes", "x"])),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]

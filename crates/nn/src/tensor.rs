@@ -463,8 +463,8 @@ mod tests {
                     continue;
                 }
                 let b_row = b.row(k).to_vec();
-                for j in 0..b.cols() {
-                    let v = out.get(i, j) + av * b_row[j];
+                for (j, &bv) in b_row.iter().enumerate() {
+                    let v = out.get(i, j) + av * bv;
                     out.set(i, j, v);
                 }
             }

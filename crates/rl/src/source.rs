@@ -194,8 +194,8 @@ fn lane_rng(plan: &RolloutPlan<'_>, lane_id: usize) -> StdRng {
 }
 
 /// Collect one fragment from every lane of a shard, stepping all lanes
-/// in lockstep through **one batched policy forward per env step**
-/// (chunked at `max_batch` rows; `0` means the whole shard).
+/// in lockstep through **one batched policy forward per env step** over
+/// the whole shard.
 ///
 /// Bit-identical to stepping each lane alone with one-row forwards: each
 /// lane keeps its own counter-seeded RNG and [`crate::PolicyRow::sample`]
@@ -205,16 +205,8 @@ fn run_shard(
     lanes: &mut [Lane],
     first_lane_id: usize,
     plan: &RolloutPlan<'_>,
-    max_batch: usize,
-    telemetry: &MetricsRegistry,
 ) -> Vec<(RolloutBuffer, Vec<EpisodeRecord>)> {
-    let rows_cap = if max_batch == 0 {
-        lanes.len()
-    } else {
-        max_batch
-    };
-    let planner = BatchPlanner::new(plan.policy.obs_dim(), rows_cap);
-    let occupancy = telemetry.histogram("batch.occupancy");
+    let planner = BatchPlanner::new(plan.policy.obs_dim(), lanes.len());
     let mut rngs: Vec<StdRng> = (0..lanes.len())
         .map(|i| lane_rng(plan, first_lane_id + i))
         .collect();
@@ -224,7 +216,6 @@ fn run_shard(
     for _ in 0..plan.rollout_len {
         let obs: Vec<Vec<f32>> = lanes.iter().map(|l| l.env.observation()).collect();
         let rows = planner.run(&obs, |batch| {
-            occupancy.record(batch.rows() as f64);
             plan.policy
                 .forward_rows(batch, plan.temperature)
                 .unwrap_or_else(|e| panic!("policy forward failed: {e}"))
@@ -254,25 +245,22 @@ fn merge(
 /// The rollout engine: lanes sharded over a [`Runtime`], each shard
 /// stepped in lockstep through batched policy forwards.
 ///
-/// Worker count, the forward row cap ([`ParallelRollouts::with_max_batch`])
-/// and the display-cache capacity are execution-only: RNG streams are
-/// per-lane and counter-derived, the forward kernels are row-independent,
-/// and shard results merge in lane order, so any setting collects the
-/// same bits. `workers = 1` is the serial schedule.
+/// Worker count and the display-cache capacity are execution-only: RNG
+/// streams are per-lane and counter-derived, the forward kernels are
+/// row-independent, and shard results merge in lane order, so any setting
+/// collects the same bits. `workers = 1` is the serial schedule.
 pub struct ParallelRollouts {
     lanes: Vec<Lane>,
     runtime: Runtime,
     telemetry: Arc<MetricsRegistry>,
     cache: Option<Arc<DisplayCache>>,
-    max_batch: usize,
 }
 
 impl ParallelRollouts {
     /// Build `n_lanes` lanes over `base` seeded from `base_seed`, collected
     /// by `workers` threads and sharing a display cache of
     /// `cache_capacity` entries (0 runs uncached). Each env step runs one
-    /// policy forward over the whole shard until
-    /// [`ParallelRollouts::with_max_batch`] caps it.
+    /// policy forward over the whole shard.
     pub fn with_cache_capacity(
         base: &DataFrame,
         env_config: &EnvConfig,
@@ -287,15 +275,7 @@ impl ParallelRollouts {
             runtime: Runtime::new(workers),
             telemetry: atena_telemetry::global_arc(),
             cache,
-            max_batch: 0,
         }
-    }
-
-    /// Cap each policy forward at `max_batch` rows (`0`, the default, runs
-    /// one forward over the whole shard). Execution-only.
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch;
-        self
     }
 
     /// The display cache shared by this source's lanes, if enabled.
@@ -309,7 +289,7 @@ impl RolloutSource for ParallelRollouts {
         let shard_results = self
             .runtime
             .scatter_shards(&mut self.lanes, |offset, shard| {
-                run_shard(shard, offset, plan, self.max_batch, &self.telemetry)
+                run_shard(shard, offset, plan)
             });
         // Per-worker environment-step throughput, attributed by shard.
         for (w, fragments) in shard_results.iter().enumerate() {
@@ -460,37 +440,25 @@ mod tests {
         for cache in [0, 1024] {
             let reference = oracle_transcript(cache);
             for workers in [1, 2, 4, 7] {
-                for max_batch in [0, 1, 4, 8] {
-                    let label = format!("workers={workers} max_batch={max_batch} cache={cache}");
-                    let registry = Arc::new(MetricsRegistry::new());
-                    let mut engine = ParallelRollouts::with_cache_capacity(
-                        &frame,
-                        &env_config,
-                        4,
-                        9,
-                        workers,
-                        cache,
-                    )
-                    .with_max_batch(max_batch);
-                    engine.set_telemetry(Arc::clone(&registry));
-                    assert_eq!(engine.display_cache().is_some(), cache > 0, "{label}");
-                    let got = transcript(3, |plan| engine.collect(plan));
-                    assert_eq!(got, reference, "{label} diverged from the oracle");
-                    let snap = registry.snapshot();
-                    let steps: u64 = (0..workers)
-                        .filter_map(|w| snap.counter(&format!("runtime.worker.{w}.steps")))
-                        .sum();
-                    assert_eq!(steps, 3 * 4 * 24, "{label} step accounting");
-                    let occ = snap
-                        .histogram("batch.occupancy")
-                        .expect("occupancy recorded");
-                    let lanes_per_shard = 4usize.div_ceil(workers.min(4));
-                    let expect_max = match max_batch {
-                        0 => lanes_per_shard,
-                        cap => lanes_per_shard.min(cap),
-                    };
-                    assert_eq!(occ.max, expect_max as f64, "{label} occupancy");
-                }
+                let label = format!("workers={workers} cache={cache}");
+                let registry = Arc::new(MetricsRegistry::new());
+                let mut engine = ParallelRollouts::with_cache_capacity(
+                    &frame,
+                    &env_config,
+                    4,
+                    9,
+                    workers,
+                    cache,
+                );
+                engine.set_telemetry(Arc::clone(&registry));
+                assert_eq!(engine.display_cache().is_some(), cache > 0, "{label}");
+                let got = transcript(3, |plan| engine.collect(plan));
+                assert_eq!(got, reference, "{label} diverged from the oracle");
+                let snap = registry.snapshot();
+                let steps: u64 = (0..workers)
+                    .filter_map(|w| snap.counter(&format!("runtime.worker.{w}.steps")))
+                    .sum();
+                assert_eq!(steps, 3 * 4 * 24, "{label} step accounting");
             }
         }
     }

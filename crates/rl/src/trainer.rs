@@ -2,9 +2,9 @@
 //! the `atena-runtime` worker pool and stepped through batched policy
 //! forwards — see DESIGN.md §4h) feeding the PPO learner, with
 //! mean-episode-reward tracking for the convergence experiments (Figure 5)
-//! and best-episode extraction for notebook generation. Worker count and
-//! forward row cap change wall-clock speed only: at a fixed seed the
-//! `TrainLog` is bit-identical for any `n_workers` and `batch_lanes`.
+//! and best-episode extraction for notebook generation. Worker count
+//! changes wall-clock speed only: at a fixed seed the `TrainLog` is
+//! bit-identical for any `n_workers`.
 
 use crate::policy::{ActionMapper, Policy};
 use crate::ppo::{PpoConfig, PpoLearner, UpdateStats};
@@ -49,12 +49,6 @@ pub struct TrainerConfig {
     pub eval_window: usize,
     /// Master seed.
     pub seed: u64,
-    /// Row cap of the batched policy forward that steps each shard's lanes
-    /// per env step. `0` (the default) runs one `[lanes, obs_dim]` forward
-    /// over the whole shard; `>= 1` chunks it at this many rows.
-    /// Execution-only, like `n_workers`: any value produces bit-identical
-    /// results at the same seed (DESIGN.md §4l).
-    pub batch_lanes: usize,
 }
 
 impl Default for TrainerConfig {
@@ -69,7 +63,6 @@ impl Default for TrainerConfig {
             temperature_final: 1.0,
             eval_window: 20,
             seed: 0,
-            batch_lanes: 0,
         }
     }
 }
@@ -159,8 +152,7 @@ impl Trainer {
             config.seed,
             config.n_workers,
             config.display_cache,
-        )
-        .with_max_batch(config.batch_lanes);
+        );
         Self {
             policy,
             mapper,
@@ -444,10 +436,6 @@ mod tests {
     }
 
     fn make_trainer(n_workers: usize, seed: u64) -> Trainer {
-        make_trainer_batched(n_workers, 0, seed)
-    }
-
-    fn make_trainer_batched(n_workers: usize, batch_lanes: usize, seed: u64) -> Trainer {
         let env_config = EnvConfig {
             episode_len: 6,
             n_bins: 5,
@@ -474,7 +462,6 @@ mod tests {
             TrainerConfig {
                 n_lanes: 2,
                 n_workers,
-                batch_lanes,
                 rollout_len: 48,
                 eval_window: 10,
                 seed,
@@ -541,24 +528,6 @@ mod tests {
         let serial = run(1);
         assert_eq!(run(2), serial);
         assert_eq!(run(4), serial);
-    }
-
-    #[test]
-    fn batch_lanes_does_not_change_results() {
-        // Lane batching joins the determinism contract: the full TrainLog
-        // is bit-identical across batch sizes and worker counts.
-        let serial = {
-            let mut t = make_trainer(1, 11);
-            format!("{:?}", t.train(192))
-        };
-        for (batch_lanes, n_workers) in [(1, 1), (2, 1), (8, 1), (2, 4), (8, 4)] {
-            let mut t = make_trainer_batched(n_workers, batch_lanes, 11);
-            assert_eq!(
-                format!("{:?}", t.train(192)),
-                serial,
-                "batch_lanes={batch_lanes} workers={n_workers} diverged"
-            );
-        }
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! reading, so an oversized request is rejected without buffering it all.
 //!
 //! The client side is one response reader, [`read_response`], shared by
-//! every std client of the server (load generator, chaos harness, tests).
-//! It frames `head + Content-Length body` on bytes and decodes the body
-//! only once all of it has arrived.
+//! the server's socket tests. It frames `head + Content-Length body` on
+//! bytes and decodes the body only once all of it has arrived.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -273,6 +272,11 @@ impl<R: Read> RequestReader<R> {
             if let Some(pos) = find_head_end(&self.buffer[scanned.saturating_sub(3)..])
                 .map(|p| p + scanned.saturating_sub(3))
             {
+                // Judge the head by its own length, not by how much the
+                // reads happened to buffer before the terminator showed up.
+                if pos + 4 > MAX_HEAD_BYTES {
+                    return Err(ParseError::HeadTooLarge);
+                }
                 return Ok(pos);
             }
             scanned = self.buffer.len();
@@ -585,7 +589,7 @@ impl std::fmt::Display for ReadEnd {
 /// of `buf`; `None` while the head or the body is incomplete, or when the
 /// status line is malformed. A missing `Content-Length` means an empty
 /// body.
-pub fn parse_response(buf: &[u8]) -> Option<ClientResponse> {
+fn parse_response(buf: &[u8]) -> Option<ClientResponse> {
     let head_end = find_head_end(buf)?;
     let head = std::str::from_utf8(&buf[..head_end]).ok()?;
     let mut lines = head.split("\r\n");
@@ -628,15 +632,24 @@ pub fn read_response(stream: &mut impl Read) -> Result<ClientResponse, ReadEnd> 
 }
 
 #[cfg(test)]
+#[path = "../tests/common/frames.rs"]
+#[allow(dead_code)] // `HostileFrame::status` is read by the socket tests only.
+mod frames;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    /// A transport that yields its script in fixed-size chunks, to exercise
-    /// partial reads.
+    /// A transport that yields its script in chunks of at most `chunk`
+    /// bytes, to exercise partial reads: fixed-size, or of seeded random
+    /// sizes when built with [`Chunked::random`].
     struct Chunked {
         data: Vec<u8>,
         pos: usize,
         chunk: usize,
+        rng: Option<StdRng>,
     }
 
     impl Chunked {
@@ -645,13 +658,26 @@ mod tests {
                 data: data.into(),
                 pos: 0,
                 chunk,
+                rng: None,
+            }
+        }
+
+        /// Each read's size is drawn from `1..=max_chunk`.
+        fn random(data: impl Into<Vec<u8>>, max_chunk: usize, seed: u64) -> Self {
+            Self {
+                rng: Some(StdRng::seed_from_u64(seed)),
+                ..Self::new(data, max_chunk)
             }
         }
     }
 
     impl Read for Chunked {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = self.chunk.min(buf.len()).min(self.data.len() - self.pos);
+            let chunk = match &mut self.rng {
+                Some(rng) => rng.gen_range(1..=self.chunk),
+                None => self.chunk,
+            };
+            let n = chunk.min(buf.len()).min(self.data.len() - self.pos);
             buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
             self.pos += n;
             Ok(n)
@@ -712,6 +738,63 @@ mod tests {
             let second = r.read_request().unwrap();
             assert_eq!(second.path(), "/v1/metrics");
             assert_eq!(r.read_request().unwrap_err(), ParseError::Closed);
+        }
+    }
+
+    /// Every request the reader yields, up to and including its first error.
+    fn parse_all(transport: Chunked) -> Vec<Result<Request, ParseError>> {
+        let mut reader = RequestReader::new(transport);
+        let mut parsed = Vec::new();
+        loop {
+            let next = reader.read_request();
+            let done = next.is_err();
+            parsed.push(next);
+            if done {
+                return parsed;
+            }
+        }
+    }
+
+    /// Differential test: how the transport splits the bytes into reads
+    /// must never change what the parser yields. Every frame of the shared
+    /// hostile table, plus well-formed and pipelined ones, parses under
+    /// seeded random read sizes exactly as under whole-buffer reads.
+    #[test]
+    fn random_read_splits_parse_like_one_whole_read() {
+        assert_eq!(frames::HEAD_CAP, MAX_HEAD_BYTES);
+        let mut corpus: Vec<(&str, Vec<u8>)> = frames::hostile_frames(DEFAULT_MAX_BODY_BYTES)
+            .into_iter()
+            .map(|frame| (frame.name, frame.raw))
+            .collect();
+        corpus.extend(
+            [
+                ("post", POST.to_string()),
+                (
+                    "pipelined pair",
+                    format!("{POST}GET /v1/metrics HTTP/1.1\r\n\r\n"),
+                ),
+                (
+                    "pipelined garbage",
+                    format!("GET /v1/healthz HTTP/1.1\r\n\r\n{POST}NOT HTTP\r\n\r\n"),
+                ),
+                (
+                    "query string",
+                    "GET /v1/metrics?format=prometheus HTTP/1.1\r\nHost: a\r\n\r\n".into(),
+                ),
+                (
+                    "http/1.0 keep-alive",
+                    "GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".into(),
+                ),
+            ]
+            .map(|(name, raw)| (name, raw.into_bytes())),
+        );
+        for (name, raw) in &corpus {
+            let whole = parse_all(Chunked::new(raw.clone(), raw.len()));
+            for seed in 0..32 {
+                let max_chunk = [1, 16, 512, 4096][seed as usize % 4];
+                let split = parse_all(Chunked::random(raw.clone(), max_chunk, seed));
+                assert!(split == whole, "{name}: seed {seed} parsed differently");
+            }
         }
     }
 

@@ -45,8 +45,8 @@ mod signal;
 pub use cache::LruCache;
 pub use engine::{Engine, EngineError, NotebookRequest, NotebookResponse, MAX_EPISODE_LEN};
 pub use http::{
-    parse_response, read_response, ClientResponse, DeadlineWriter, ParseError, ReadEnd, Request,
-    RequestReader, Response, DEFAULT_MAX_BODY_BYTES,
+    read_response, ClientResponse, DeadlineWriter, ParseError, ReadEnd, Request, RequestReader,
+    Response, DEFAULT_MAX_BODY_BYTES,
 };
 pub use pool::ThreadPool;
 pub use signal::{install_handlers, request_shutdown, shutdown_requested};

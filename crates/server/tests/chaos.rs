@@ -1,17 +1,19 @@
-//! Byzantine-client hardening tests over real sockets: every hostile
-//! frame class is pinned to its exact status code and `server.http.*`
-//! counter deltas, a slow-loris dribbler is cut off by the per-request
-//! deadline (not one-byte-per-tick forever), and a client vanishing
-//! mid-request costs nobody else a byte of their response.
+//! Byzantine-client hardening tests over real sockets: every frame of the
+//! shared hostile table is pinned to its exact status code and
+//! `server.http.*` counter deltas, slow-loris dribblers (head or body) are
+//! cut off by the per-request deadline, and clients vanishing mid-request
+//! or mid-response cost nobody else a byte of their response.
 
 mod common;
 
-use atena_server::{ClientResponse, Engine, ReadEnd, Server, ServerConfig};
-use common::{base, connect, notebook_request, tiny_bundle};
+use atena_server::{ClientResponse, Engine, ReadEnd, ServerConfig};
+use common::frames::hostile_frames;
+use common::{
+    base, connect, dribble_until_cut, notebook_request, offline_body, spawn, tiny_bundle,
+};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Read one response off the stream; `None` if the server closed (or
 /// reset) without completing one.
@@ -29,97 +31,38 @@ fn parts(read: Result<ClientResponse, ReadEnd>) -> Option<(u16, String)> {
     read.ok().map(|r| (r.status, r.body))
 }
 
-fn spawn_server(
-    config: ServerConfig,
-) -> (
-    atena_server::ServerHandle,
-    SocketAddr,
-    Arc<atena_telemetry::MetricsRegistry>,
-) {
-    let engine = Engine::new(tiny_bundle(), base()).unwrap();
-    let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
-    let server = Server::bind_with_telemetry(config, engine, Arc::clone(&telemetry)).unwrap();
-    let addr = server.local_addr().unwrap();
-    (server.spawn().unwrap(), addr, telemetry)
-}
-
-/// Every byzantine frame class produces its exact status code, counts
-/// exactly one `server.http.parse_errors`, and never reaches routing
-/// (`server.http.requests` unchanged) — then the server still answers a
-/// healthy request on a fresh connection.
+/// Every frame of the hostile table produces its exact status code,
+/// counts exactly one `server.http.parse_errors`, and never reaches
+/// routing (`server.http.requests` unchanged). Afterwards the server still
+/// answers `/v1/healthz`, and a good request gets the offline decode's
+/// exact bytes.
 #[test]
 fn byzantine_frames_exact_statuses_and_counter_deltas() {
-    let (handle, addr, telemetry) = spawn_server(ServerConfig {
+    let bundle = tiny_bundle();
+    let offline = Engine::new(bundle.clone(), base()).unwrap();
+    let config = ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         cache_size: 4,
         // A short deadline keeps the truncated-body case fast.
         request_timeout: Duration::from_millis(700),
         ..Default::default()
-    });
-
-    let oversized_header = {
-        let mut raw = b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\nX-Big: ".to_vec();
-        raw.extend(std::iter::repeat(b'a').take(20 * 1024));
-        raw.extend_from_slice(b"\r\n\r\n");
-        raw
     };
-    let header_flood = {
-        let mut raw = b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n".to_vec();
-        for i in 0..4000 {
-            raw.extend_from_slice(format!("X-F{i}: v\r\n").as_bytes());
-        }
-        raw.extend_from_slice(b"\r\n");
-        raw
-    };
-    // (name, frame, exact status) — `None` status means the server must
-    // close without producing a response.
-    let cases: Vec<(&str, Vec<u8>, Option<u16>)> = vec![
-        (
-            "malformed request line",
-            b"NOT EVEN CLOSE TO HTTP\r\n\r\n".to_vec(),
-            Some(400),
-        ),
-        ("oversized header", oversized_header, Some(431)),
-        ("header flood", header_flood, Some(431)),
-        (
-            "oversized declared body",
-            b"POST /v1/notebook HTTP/1.1\r\nHost: t\r\nContent-Length: 2147483648\r\n\r\n".to_vec(),
-            Some(413),
-        ),
-        (
-            "missing content-length",
-            b"POST /v1/notebook HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n".to_vec(),
-            Some(411),
-        ),
-        (
-            "chunked transfer encoding",
-            b"POST /v1/notebook HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n\
-              5\r\nhello\r\n0\r\n\r\n"
-                .to_vec(),
-            Some(501),
-        ),
-        (
-            "truncated body then silence",
-            b"POST /v1/notebook HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-              Content-Length: 100\r\n\r\n{\"data"
-                .to_vec(),
-            Some(408),
-        ),
-    ];
+    let frames = hostile_frames(config.max_body_bytes);
+    let (handle, addr, telemetry) = spawn(config, Engine::new(bundle, base()).unwrap());
 
-    for (name, raw, expected) in &cases {
+    for frame in &frames {
+        let name = frame.name;
         let before = telemetry.snapshot();
-        let observed = exchange(addr, raw);
+        let observed = exchange(addr, &frame.raw);
         let after = telemetry.snapshot();
-        match expected {
-            Some(code) => {
-                let (status, body) = observed
-                    .unwrap_or_else(|| panic!("{name}: server closed without the expected {code}"));
-                assert_eq!(status, *code, "{name}: {body}");
-            }
-            None => assert!(observed.is_none(), "{name}: expected a bare close"),
-        }
+        let (status, body) = observed.unwrap_or_else(|| {
+            panic!(
+                "{name}: server closed without the expected {}",
+                frame.status
+            )
+        });
+        assert_eq!(status, frame.status, "{name}: {body}");
         // Exactly one parse error; the router was never reached.
         assert_eq!(
             after.counter("server.http.parse_errors").unwrap_or(0),
@@ -161,108 +104,108 @@ fn byzantine_frames_exact_statuses_and_counter_deltas() {
         );
     }
 
-    // The pool survived all of it: a healthy request decodes fine.
+    // The pool survived all of it: the health probe answers and a good
+    // request decodes to the offline bytes.
+    let (status, _) = exchange(
+        addr,
+        b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+    )
+    .expect("health probe answered");
+    assert_eq!(status, 200);
     let raw = notebook_request(r#"{"dataset":"tiny","episode_len":3,"seed":1}"#);
     let (status, response) = exchange(addr, raw.as_bytes()).expect("healthy request answered");
     assert_eq!(status, 200, "{response}");
+    assert_eq!(
+        response,
+        offline_body(&offline, 3, 1),
+        "post-attack response diverged from the offline decode"
+    );
     assert_eq!(telemetry.snapshot().counter("server.pool.panics"), None);
 
     handle.shutdown();
 }
 
-/// A slow-loris client dribbling one header byte per tick resets the
-/// kernel's per-read timer every time — only the per-request deadline
-/// can stop it. The server must cut the connection within
-/// `request_timeout` (+ grace), and keep serving everyone else while
-/// the dribble is in flight.
+/// Slow-loris clients dribbling one byte per tick, into the head or into
+/// a declared body, reset the kernel's per-read timer every time: only the
+/// per-request deadline can stop them. The server must cut both within
+/// `request_timeout` (+ grace), and keep serving everyone else while the
+/// dribbles are in flight.
 #[test]
 fn slow_loris_dribble_is_cut_at_the_request_deadline() {
     let request_timeout = Duration::from_millis(600);
-    let (handle, addr, telemetry) = spawn_server(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        cache_size: 4,
-        request_timeout,
-        ..Default::default()
-    });
+    let (handle, addr, telemetry) = spawn(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 3,
+            cache_size: 4,
+            request_timeout,
+            ..Default::default()
+        },
+        Engine::new(tiny_bundle(), base()).unwrap(),
+    );
 
-    let started = Instant::now();
-    let loris = std::thread::spawn(move || {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
-        stream
-            .write_all(b"POST /v1/notebook HTTP/1.1\r\nHost: t\r\nX-Dribble: ")
-            .unwrap();
-        // One byte per 100 ms: each socket read is "fast", so only the
-        // request deadline can end this.
-        let mut cut = None;
-        for _ in 0..200 {
-            std::thread::sleep(Duration::from_millis(100));
-            let write_dead = stream.write_all(b"a").is_err();
-            let mut chunk = [0u8; 1024];
-            let read_dead = match stream.read(&mut chunk) {
-                Ok(0) => true,
-                Ok(_) => false, // 408 bytes arriving
-                Err(e) => !matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ),
-            };
-            if write_dead || read_dead {
-                cut = Some(started.elapsed());
-                break;
-            }
-        }
-        cut
-    });
+    let give_up = request_timeout + Duration::from_secs(2);
+    let dribblers: Vec<_> = [
+        (
+            "head",
+            &b"POST /v1/notebook HTTP/1.1\r\nHost: t\r\nX-Dribble: "[..],
+        ),
+        (
+            "body",
+            &b"POST /v1/notebook HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
+               Content-Length: 4096\r\n\r\n"[..],
+        ),
+    ]
+    .into_iter()
+    .map(|(part, preamble)| {
+        (
+            part,
+            std::thread::spawn(move || dribble_until_cut(addr, preamble, give_up)),
+        )
+    })
+    .collect();
 
-    // While the dribble is in flight, healthy clients are unaffected.
+    // While the dribbles are in flight, healthy clients are unaffected.
     let raw = notebook_request(r#"{"dataset":"tiny","episode_len":3,"seed":2}"#);
     let (status, _) = exchange(addr, raw.as_bytes()).expect("healthy request during dribble");
     assert_eq!(status, 200);
 
-    let cut = loris
-        .join()
-        .unwrap()
-        .expect("server never cut the dribbling client");
+    // Join every dribbler before judging, so one failure names them all.
+    let uncut: Vec<&str> = dribblers
+        .into_iter()
+        .filter_map(|(part, loris)| loris.join().unwrap().is_none().then_some(part))
+        .collect();
     assert!(
-        cut <= request_timeout + Duration::from_secs(2),
-        "slow loris held its worker for {cut:?} (deadline {request_timeout:?})"
+        uncut.is_empty(),
+        "server never cut the {uncut:?} dribble (deadline {request_timeout:?})"
     );
     assert!(
         telemetry
             .snapshot()
             .counter("server.http.parse_errors")
             .unwrap_or(0)
-            >= 1,
-        "the dribble must be counted as a parse error (timeout)"
+            >= 2,
+        "each dribble must be counted as a parse error (timeout)"
     );
     handle.shutdown();
 }
 
-/// The N−1 regression: one of N concurrent clients vanishes mid-request.
-/// The surviving N−1 responses must stay byte-identical to the same
-/// requests served one at a time, and the server must keep working
-/// afterwards — including for the victim's own request when it is retried.
+/// The N−1 regression: of N concurrent clients, one vanishes mid-request
+/// and one mid-response. The surviving responses must stay byte-identical
+/// to the same requests served one at a time, and the server must keep
+/// working afterwards, including for the victims' own requests when they
+/// are retried.
 #[test]
 fn client_disconnect_mid_request_leaves_concurrent_responses_byte_identical() {
-    let engine = Engine::new(tiny_bundle(), base()).unwrap();
-    let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
-    let server = Server::bind_with_telemetry(
+    let (handle, addr, telemetry) = spawn(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 8,
             cache_size: 0, // every request decodes
             ..Default::default()
         },
-        engine,
-        Arc::clone(&telemetry),
-    )
-    .unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.spawn().unwrap();
+        Engine::new(tiny_bundle(), base()).unwrap(),
+    );
 
     let request_for = |seed: u64| {
         notebook_request(&format!(
@@ -281,18 +224,23 @@ fn client_disconnect_mid_request_leaves_concurrent_responses_byte_identical() {
         })
         .collect();
 
-    // N concurrent clients; the victim (seed 2) sends its request and
-    // immediately vanishes, so its in-flight decode dies somewhere before
-    // the response write.
-    let victim_seed = 2u64;
+    // N concurrent clients. Seed 2 sends its request and vanishes at once,
+    // so its in-flight decode dies somewhere before the response write.
+    // Seed 4 reads 16 bytes of its response and vanishes; the unread rest
+    // turns its close into a reset the server's writer must absorb.
+    let (mid_request, mid_response) = (2u64, 4u64);
     let clients: Vec<_> = seeds
         .iter()
         .map(|&s| {
             std::thread::spawn(move || {
                 let mut stream = connect(addr);
                 stream.write_all(request_for(s).as_bytes()).unwrap();
-                if s == victim_seed {
-                    drop(stream); // vanish mid-request
+                if s == mid_request {
+                    return None;
+                }
+                if s == mid_response {
+                    let mut sliver = [0u8; 16];
+                    stream.read_exact(&mut sliver).expect("response head");
                     return None;
                 }
                 Some(read_response(&mut stream).expect("survivor got a response"))
@@ -303,11 +251,10 @@ fn client_disconnect_mid_request_leaves_concurrent_responses_byte_identical() {
         clients.into_iter().map(|c| c.join().unwrap()).collect();
     for (i, result) in results.iter().enumerate() {
         let seed = seeds[i];
-        if seed == victim_seed {
-            assert!(result.is_none());
+        let Some((status, body)) = result else {
+            assert!(seed == mid_request || seed == mid_response);
             continue;
-        }
-        let (status, body) = result.as_ref().unwrap();
+        };
         assert_eq!(*status, 200, "seed {seed}: {body}");
         assert_eq!(
             body, &reference[i],
@@ -315,16 +262,18 @@ fn client_disconnect_mid_request_leaves_concurrent_responses_byte_identical() {
         );
     }
 
-    // The server is not wedged and the victim's request still decodes to
+    // The server is not wedged and the victims' requests still decode to
     // the same bytes when retried on a fresh connection.
-    let (status, body) = exchange(addr, request_for(victim_seed).as_bytes()).unwrap();
-    assert_eq!(status, 200, "{body}");
-    assert_eq!(
-        body, reference[victim_seed as usize],
-        "retried victim request diverged"
-    );
+    for victim in [mid_request, mid_response] {
+        let (status, body) = exchange(addr, request_for(victim).as_bytes()).unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(
+            body, reference[victim as usize],
+            "retried victim request (seed {victim}) diverged"
+        );
+    }
 
-    // No worker died serving the vanished client.
+    // No worker died serving the vanished clients.
     assert_eq!(telemetry.snapshot().counter("server.pool.panics"), None);
 
     handle.shutdown();

@@ -10,7 +10,7 @@ use atena_core::PolicyBundle;
 use atena_dataframe::DataFrame;
 use atena_registry::{dataset_id_for_fingerprint, RegistryConfig, TenantLimits};
 use atena_server::{read_response, ClientResponse, Engine, ReadEnd, Server, ServerConfig};
-use common::{base, connect, exchange, notebook_request, tiny_bundle};
+use common::{base, connect, exchange, notebook_request, offline_body, spawn, tiny_bundle};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -87,21 +87,15 @@ fn checkpoint_serve_concurrent_cache_metrics_shutdown() {
     // 2. Load it back and serve on an ephemeral port with an isolated
     //    metrics registry.
     let bundle = PolicyBundle::load(&ckpt).unwrap();
-    let engine = Engine::new(bundle, base()).unwrap();
-    let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
-    let server = Server::bind_with_telemetry(
+    let (handle, addr, _) = spawn(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 3,
             cache_size: 16,
             ..Default::default()
         },
-        engine,
-        Arc::clone(&telemetry),
-    )
-    .unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.spawn().unwrap();
+        Engine::new(bundle, base()).unwrap(),
+    );
 
     // 3. Health check.
     let (status, _, body) = http_request(
@@ -326,9 +320,7 @@ fn response_cache_lru_semantics_over_http() {
 /// keep-alive-reuse / slow-request counters.
 #[test]
 fn tracing_debug_ring_and_prometheus_over_http() {
-    let engine = Engine::new(tiny_bundle(), base()).unwrap();
-    let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
-    let server = Server::bind_with_telemetry(
+    let (handle, addr, telemetry) = spawn(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 1,
@@ -338,12 +330,8 @@ fn tracing_debug_ring_and_prometheus_over_http() {
             slow_threshold: Duration::ZERO,
             ..Default::default()
         },
-        engine,
-        Arc::clone(&telemetry),
-    )
-    .unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.spawn().unwrap();
+        Engine::new(tiny_bundle(), base()).unwrap(),
+    );
     // The tracer is process-global (the server stamps trace ids either
     // way); enabling it here turns span recording on for this test's
     // requests. Tracing is execution-only, so concurrent tests are
@@ -471,9 +459,7 @@ fn tracing_debug_ring_and_prometheus_over_http() {
 
 #[test]
 fn oversized_body_rejected_over_socket() {
-    let engine = Engine::new(tiny_bundle(), base()).unwrap();
-    let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
-    let server = Server::bind_with_telemetry(
+    let (handle, addr, _) = spawn(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 1,
@@ -481,12 +467,8 @@ fn oversized_body_rejected_over_socket() {
             max_body_bytes: 128,
             ..Default::default()
         },
-        engine,
-        telemetry,
-    )
-    .unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.spawn().unwrap();
+        Engine::new(tiny_bundle(), base()).unwrap(),
+    );
 
     let big = "x".repeat(4096);
     let (status, _, body) = post_notebook(addr, &big);
@@ -514,21 +496,15 @@ fn dataset_upload_notebook_delete_lifecycle_over_http() {
     // A sibling engine decodes the same CSV offline for the byte-identity
     // check; the server gets its own engine from the same bundle.
     let offline = Engine::new(bundle.clone(), base()).unwrap();
-    let engine = Engine::new(bundle, base()).unwrap();
-    let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
-    let server = Server::bind_with_telemetry(
+    let (handle, addr, _) = spawn(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 3,
             cache_size: 16,
             ..Default::default()
         },
-        engine,
-        Arc::clone(&telemetry),
-    )
-    .unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.spawn().unwrap();
+        Engine::new(bundle, base()).unwrap(),
+    );
 
     // 1. Upload a two-column CSV (same shape as the policy's dataset, so
     //    it is decodable). 201 Created with metadata + schema.
@@ -722,8 +698,6 @@ fn dataset_upload_notebook_delete_lifecycle_over_http() {
 /// LRU eviction under a small byte budget with monotone counters.
 #[test]
 fn upload_limits_eviction_and_chunked_over_socket() {
-    let engine = Engine::new(tiny_bundle(), base()).unwrap();
-    let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
     let registry = RegistryConfig {
         // Roughly two small uploads' worth of resident bytes (each test
         // upload below occupies ~1.4 KB), and a tenant quota of one.
@@ -736,7 +710,7 @@ fn upload_limits_eviction_and_chunked_over_socket() {
             max_cols: 16,
         },
     };
-    let server = Server::bind_with_telemetry(
+    let (handle, addr, _) = spawn(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
@@ -744,12 +718,8 @@ fn upload_limits_eviction_and_chunked_over_socket() {
             registry,
             ..Default::default()
         },
-        engine,
-        Arc::clone(&telemetry),
-    )
-    .unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.spawn().unwrap();
+        Engine::new(tiny_bundle(), base()).unwrap(),
+    );
 
     // 1. A Content-Length far past the upload cap is refused from the
     //    declared length alone — no body bytes are sent, so a 413 here
@@ -846,12 +816,13 @@ fn upload_limits_eviction_and_chunked_over_socket() {
 
 /// Per-tenant admission control: a hog tenant saturating its in-flight
 /// cap collects 429s with `Retry-After`, while a quiet tenant's requests
-/// keep succeeding throughout the storm. Read-only endpoints are exempt.
+/// keep succeeding throughout the storm. Every 200 carries the offline
+/// decode's exact bytes. Read-only endpoints are exempt.
 #[test]
 fn tenant_admission_throttles_hog_not_others() {
-    let engine = Engine::new(tiny_bundle(), base()).unwrap();
-    let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
-    let server = Server::bind_with_telemetry(
+    let bundle = tiny_bundle();
+    let offline = Engine::new(bundle.clone(), base()).unwrap();
+    let (handle, addr, _) = spawn(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
@@ -864,12 +835,8 @@ fn tenant_admission_throttles_hog_not_others() {
             },
             ..Default::default()
         },
-        engine,
-        Arc::clone(&telemetry),
-    )
-    .unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.spawn().unwrap();
+        Engine::new(bundle, base()).unwrap(),
+    );
 
     // 12 concurrent decodes from one tenant against an in-flight cap of 1:
     // overlapping requests are told to back off.
@@ -900,16 +867,28 @@ fn tenant_admission_throttles_hog_not_others() {
             &body,
         );
         assert_eq!(status, 200, "quiet tenant throttled: {b}");
+        assert_eq!(
+            b,
+            offline_body(&offline, 8, seed),
+            "quiet seed {seed} diverged"
+        );
         quiet_ok += 1;
     }
     assert_eq!(quiet_ok, 3);
 
     let mut ok = 0;
     let mut throttled = 0;
-    for h in hogs {
+    for (seed, h) in hogs.into_iter().enumerate() {
         let (status, headers, body) = h.join().unwrap();
         match status {
-            200 => ok += 1,
+            200 => {
+                assert_eq!(
+                    body,
+                    offline_body(&offline, 16, seed as u64),
+                    "hog seed {seed} diverged"
+                );
+                ok += 1;
+            }
             429 => {
                 throttled += 1;
                 assert_eq!(header(&headers, "retry-after"), Some("3"), "{body}");
@@ -950,20 +929,15 @@ fn idle_shutdown_is_prompt() {
     // The accept loop blocks in accept(2) with no polling; shutdown must
     // wake it with a self-connect rather than waiting for a client. If the
     // wake were lost, handle.shutdown() would join forever.
-    let engine = Engine::new(tiny_bundle(), base()).unwrap();
-    let telemetry = Arc::new(atena_telemetry::MetricsRegistry::new());
-    let server = Server::bind_with_telemetry(
+    let (handle, _, _) = spawn(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 1,
             cache_size: 4,
             ..Default::default()
         },
-        engine,
-        telemetry,
-    )
-    .unwrap();
-    let handle = server.spawn().unwrap();
+        Engine::new(tiny_bundle(), base()).unwrap(),
+    );
     // Let the loop reach its blocking accept with zero traffic.
     std::thread::sleep(Duration::from_millis(50));
     let start = std::time::Instant::now();

@@ -113,16 +113,6 @@ pub fn set_level(level: Level) {
     MAX_LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
-/// Current maximum level.
-pub fn max_level() -> Level {
-    match load_level() {
-        0 => Level::Error,
-        1 => Level::Warn,
-        2 => Level::Info,
-        _ => Level::Debug,
-    }
-}
-
 /// Whether a message at `level` would be emitted.
 pub fn enabled(level: Level) -> bool {
     (level as u8) <= load_level()
@@ -378,7 +368,7 @@ impl Histogram {
 
     /// Index of the bucket a sample falls into.
     pub fn bucket_index(v: f64) -> usize {
-        if !(v > HISTOGRAM_FIRST_BOUND) {
+        if v.is_nan() || v <= HISTOGRAM_FIRST_BOUND {
             // NaN, negatives, and anything at or below the first bound.
             return 0;
         }
@@ -817,12 +807,11 @@ mod tests {
 
     #[test]
     fn rss_probe_reports_a_sane_value_on_linux() {
-        match rss_bytes() {
-            // A running test process holds at least a few hundred KiB and
-            // (being a test binary) far less than a terabyte.
-            Some(rss) => assert!(rss > (1 << 18) && rss < (1u64 << 40), "rss {rss}"),
-            // Non-Linux platforms have no /proc; the probe opts out cleanly.
-            None => {}
+        // Non-Linux platforms have no /proc; the probe opts out cleanly
+        // with `None`. A running test process holds at least a few hundred
+        // KiB and (being a test binary) far less than a terabyte.
+        if let Some(rss) = rss_bytes() {
+            assert!(rss > (1 << 18) && rss < (1u64 << 40), "rss {rss}");
         }
     }
 
@@ -851,6 +840,8 @@ mod tests {
         assert_eq!(Histogram::bucket_index(0.0), 0);
         assert_eq!(Histogram::bucket_index(1e-9), 0);
         assert_eq!(Histogram::bucket_index(1e-7), 0);
+        assert_eq!(Histogram::bucket_index(-1.0), 0);
+        assert_eq!(Histogram::bucket_index(f64::NAN), 0);
         // Just above a bound lands in the next bucket.
         assert_eq!(Histogram::bucket_index(1.01e-7), 1);
         assert_eq!(Histogram::bucket_index(1e9), HISTOGRAM_BUCKETS);

@@ -1,10 +1,12 @@
 //! The determinism contract (DESIGN.md §4h/§4i/§4j/§4l), enforced
-//! end-to-end: the worker count, the display-cache capacity, span tracing,
-//! and lane batching change how fast rollouts are collected (or how
-//! observable they are), never what is learned. At a fixed seed the full
-//! `TrainLog` and the final checkpoint blob must be **bit-identical**
-//! across cache {off, on} × workers {1, 4} × tracing {off, on} × batching
-//! {off, on}.
+//! end-to-end: the worker count, the display-cache capacity and span
+//! tracing change how fast rollouts are collected (or how observable they
+//! are), never what is learned. At a fixed seed the full `TrainLog` and
+//! the final checkpoint blob must be **bit-identical** across cache
+//! {off, on} × workers {1, 4} × tracing {off, on}. Each worker steps its
+//! shard's lanes through one batched forward, so the 1-worker run makes
+//! one forward over all lanes and the 4-worker run one-row forwards: the
+//! worker rows also pin that a forward's row count never changes a bit.
 //!
 //! Triage rule (KNOWN_FAILURES.md): any "parallel run differs from serial"
 //! or "cached run differs from uncached" report is a bug in whatever made
@@ -128,97 +130,6 @@ fn train_log_is_bit_identical_across_worker_counts_and_cache() {
             serial,
             "workers={workers} display_cache={display_cache} TrainLog differs from \
              serial uncached"
-        );
-    }
-}
-
-#[test]
-fn checkpoint_blob_is_bit_identical_with_lane_batching() {
-    // `trainer.batch_lanes` routes collection through the lane-batched
-    // source (one `[B, obs_dim]` forward per env step, DESIGN.md §4l).
-    // Batching is execution-only, so the serialized bundle — every f32
-    // parameter included — must match the unbatched serial run exactly.
-    let run = |workers: usize, batch_lanes: usize, display_cache: usize| {
-        let mut config = quick_config(workers);
-        config.trainer.batch_lanes = batch_lanes;
-        config.trainer.display_cache = display_cache;
-        train_policy_bundle("det", base(), vec![], config, Strategy::Atena)
-            .unwrap()
-            .to_json()
-            .unwrap()
-    };
-    let serial = run(1, 0, 0);
-    for (workers, batch_lanes, display_cache) in [(1, 4, 0), (4, 4, 1024), (4, 8, 0)] {
-        assert_eq!(
-            run(workers, batch_lanes, display_cache),
-            serial,
-            "workers={workers} batch_lanes={batch_lanes} display_cache={display_cache} \
-             checkpoint differs from serial unbatched"
-        );
-    }
-}
-
-#[test]
-fn train_log_is_bit_identical_with_lane_batching() {
-    // Full grid: batching {off, on} × workers {1, 4} × cache {off, on},
-    // all against the serial unbatched uncached reference.
-    let run = |n_workers: usize, batch_lanes: usize, display_cache: usize| {
-        let seed = 23;
-        let env_config = EnvConfig {
-            episode_len: 6,
-            n_bins: 5,
-            history_window: 3,
-            seed,
-        };
-        let probe = EdaEnv::new(base(), env_config.clone());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let policy = TwofoldPolicy::new(
-            probe.observation_dim(),
-            probe.action_space().head_sizes(),
-            TwofoldConfig { hidden: [32, 32] },
-            &mut rng,
-        );
-        let mut reward = CompoundReward::new(CoherencyConfig::with_focal_attrs(vec!["src".into()]));
-        let mut fit_env = EdaEnv::new(base(), env_config.clone());
-        reward.fit(&mut fit_env, 120, seed);
-        let mut trainer = Trainer::new(
-            Arc::new(policy),
-            ActionMapper::Twofold,
-            Arc::new(reward),
-            &base(),
-            env_config,
-            TrainerConfig {
-                n_lanes: 4,
-                n_workers,
-                batch_lanes,
-                display_cache,
-                rollout_len: 32,
-                eval_window: 10,
-                seed,
-                ppo: PpoConfig {
-                    minibatch: 32,
-                    epochs: 2,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        format!("{:?}", trainer.train(256))
-    };
-    let serial = run(1, 0, 0);
-    for (n_workers, batch_lanes, display_cache) in [
-        (1, 4, 0),
-        (1, 4, 1024),
-        (4, 4, 0),
-        (4, 4, 1024),
-        (1, 8, 0),
-        (4, 8, 1024),
-    ] {
-        assert_eq!(
-            run(n_workers, batch_lanes, display_cache),
-            serial,
-            "workers={n_workers} batch_lanes={batch_lanes} display_cache={display_cache} \
-             TrainLog differs from serial unbatched uncached"
         );
     }
 }
