@@ -6,8 +6,8 @@ use atena_dataframe::DataFrame;
 use atena_env::{EdaEnv, EnvConfig};
 use atena_reward::{CoherencyConfig, CompoundReward, RewardComponents};
 use atena_rl::{
-    ActionMapper, CurvePoint, FlatPolicy, GreedyConfig, Policy, Trainer, TrainerConfig,
-    TwofoldConfig, TwofoldPolicy,
+    ActionMapper, CurvePoint, FlatPolicy, Policy, Trainer, TrainerConfig, TwofoldConfig,
+    TwofoldPolicy,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -204,17 +204,9 @@ impl Atena {
 
     fn generate_greedy(&self, reward: Arc<CompoundReward>) -> GenerationResult {
         let mut env = EdaEnv::new(self.base.clone(), self.config.env.clone());
-        let episode = atena_rl::greedy_episode(
-            &mut env,
-            reward.as_ref(),
-            GreedyConfig {
-                candidate_cap: None,
-                seed: self.config.env.seed,
-                ..GreedyConfig::default()
-            },
-        );
+        let episode = atena_rl::greedy_episode(&mut env, reward.as_ref(), self.config.env.seed);
         GenerationResult {
-            notebook: Notebook::replay(&self.name, &self.base, &episode.ops),
+            notebook: Notebook::from_session(&self.name, env.session()),
             best_reward: episode.total_reward,
             curve: Vec::new(),
             steps: self.config.env.episode_len,

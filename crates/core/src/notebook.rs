@@ -3,7 +3,7 @@
 //! displays, plus a tree illustration of the exploration paths.
 
 use atena_dataframe::DataFrame;
-use atena_env::{Display, EdaEnv, EnvConfig, OpOutcome, ResolvedOp};
+use atena_env::{Display, EdaEnv, EnvConfig, OpOutcome, ResolvedOp, SessionTree};
 use serde::Serialize;
 
 /// One notebook cell: an operation and the display it produced.
@@ -20,6 +20,10 @@ pub struct NotebookEntry {
     /// Outcome (invalid ops are retained with a note so a replayed session
     /// is faithful; ATENA's own notebooks only contain applied ops).
     pub outcome: OpOutcome,
+    /// Session node the operation was applied from.
+    pub from: usize,
+    /// Session node the session moved to (`display` is that node's).
+    pub to: usize,
 }
 
 /// An auto-generated EDA notebook.
@@ -32,35 +36,40 @@ pub struct Notebook {
 }
 
 impl Notebook {
-    /// Replay a sequence of resolved operations against a dataset,
-    /// materializing each display. Invalid operations are kept with their
-    /// outcome note.
-    pub fn replay(dataset_name: &str, base: &DataFrame, ops: &[ResolvedOp]) -> Notebook {
-        let mut env = EdaEnv::new(
-            base.clone(),
-            EnvConfig {
-                episode_len: ops.len().max(1),
-                ..EnvConfig::default()
-            },
-        );
-        env.reset();
-        let mut entries = Vec::with_capacity(ops.len());
-        for (i, op) in ops.iter().enumerate() {
-            let preview = env.preview(op);
-            let entry = NotebookEntry {
+    /// Read the notebook off a session (paper §3: the notebook *is* the
+    /// exploration session): one cell per logged operation, showing the
+    /// display the session moved to. Invalid operations are kept with
+    /// their outcome note.
+    pub fn from_session(dataset_name: &str, session: &SessionTree) -> Notebook {
+        let entries = session
+            .ops()
+            .iter()
+            .enumerate()
+            .map(|(i, applied)| NotebookEntry {
                 index: i + 1,
-                op: op.clone(),
-                caption: op.caption(),
-                display: preview.display.clone(),
-                outcome: preview.outcome.clone(),
-            };
-            env.commit(preview);
-            entries.push(entry);
-        }
+                op: applied.op.clone(),
+                caption: applied.op.caption(),
+                display: session.display(applied.to).clone(),
+                outcome: applied.outcome.clone(),
+                from: applied.from,
+                to: applied.to,
+            })
+            .collect();
         Notebook {
             dataset_name: dataset_name.to_string(),
             entries,
         }
+    }
+
+    /// Replay a sequence of resolved operations against a dataset,
+    /// materializing each display, for callers that hold only the ops.
+    pub fn replay(dataset_name: &str, base: &DataFrame, ops: &[ResolvedOp]) -> Notebook {
+        let mut env = EdaEnv::new(base.clone(), EnvConfig::default());
+        for op in ops {
+            let preview = env.preview(op);
+            env.commit(preview);
+        }
+        Notebook::from_session(dataset_name, env.session())
     }
 
     /// Number of cells.
@@ -126,50 +135,28 @@ impl Notebook {
     }
 
     /// The dynamic tree-like illustration of the operations (paper Figure
-    /// 1, right-hand side): displays as nodes, operations as edges.
+    /// 1, right-hand side): displays as nodes, operations as edges. Every
+    /// applied non-BACK cell opened node `to` under node `from`.
     pub fn tree_illustration(&self) -> String {
-        // Reconstruct the tree from the op sequence.
-        #[derive(Default)]
-        struct Node {
-            children: Vec<(String, usize)>,
-        }
-        let mut nodes: Vec<Node> = vec![Node::default()];
-        let mut current = 0usize;
+        let n_nodes = self.entries.iter().map(|e| e.to + 1).max().unwrap_or(1);
+        let mut children: Vec<Vec<&NotebookEntry>> = vec![Vec::new(); n_nodes];
         for e in &self.entries {
-            match (&e.op, &e.outcome) {
-                (ResolvedOp::Back, OpOutcome::Applied) => {
-                    // Walk to the parent.
-                    current = parent_of(&nodes, current).unwrap_or(0);
-                }
-                (op, OpOutcome::Applied) => {
-                    nodes.push(Node::default());
-                    let id = nodes.len() - 1;
-                    let label = format!("[{}] {}", e.index, op);
-                    nodes[current].children.push((label, id));
-                    current = id;
-                }
-                _ => {}
+            if e.outcome.is_applied() && !matches!(e.op, ResolvedOp::Back) {
+                children[e.from].push(e);
             }
         }
-        fn parent_of(nodes: &[Node], id: usize) -> Option<usize> {
-            nodes
-                .iter()
-                .position(|n| n.children.iter().any(|(_, c)| *c == id))
-        }
-        fn render(nodes: &[Node], id: usize, prefix: &str, out: &mut String) {
-            let n = &nodes[id];
-            for (i, (label, child)) in n.children.iter().enumerate() {
-                let last = i + 1 == n.children.len();
+        fn render(children: &[Vec<&NotebookEntry>], id: usize, prefix: &str, out: &mut String) {
+            for (i, e) in children[id].iter().enumerate() {
+                let last = i + 1 == children[id].len();
                 out.push_str(prefix);
                 out.push_str(if last { "└─ " } else { "├─ " });
-                out.push_str(label);
-                out.push('\n');
+                out.push_str(&format!("[{}] {}\n", e.index, e.op));
                 let child_prefix = format!("{prefix}{}", if last { "   " } else { "│  " });
-                render(nodes, *child, &child_prefix, out);
+                render(children, e.to, &child_prefix, out);
             }
         }
         let mut out = String::from("Raw Dataset\n");
-        render(&nodes, 0, "", &mut out);
+        render(&children, 0, "", &mut out);
         out
     }
 
@@ -263,6 +250,42 @@ mod tests {
         ]
     }
 
+    /// A session that branches twice after BACK, hits BACK at the root,
+    /// and logs an invalid op (SUM over a string column).
+    fn branching_ops() -> Vec<ResolvedOp> {
+        let group = |func, agg: &str| ResolvedOp::Group {
+            key: "airline".into(),
+            func,
+            agg: agg.into(),
+        };
+        vec![
+            ResolvedOp::Filter(Predicate::new("airline", CmpOp::Eq, "AA")),
+            group(AggFunc::Count, "delay"),
+            ResolvedOp::Back,
+            group(AggFunc::Avg, "delay"),
+            ResolvedOp::Back,
+            ResolvedOp::Back,
+            ResolvedOp::Back,
+            group(AggFunc::Sum, "airline"),
+            ResolvedOp::Filter(Predicate::new("airline", CmpOp::Eq, "DL")),
+        ]
+    }
+
+    #[test]
+    fn tree_illustration_golden() {
+        let nb = Notebook::replay("flights", &base(), &branching_ops());
+        assert_eq!(nb.entries[6].outcome, OpOutcome::BackAtRoot);
+        assert!(matches!(nb.entries[7].outcome, OpOutcome::Invalid(_)));
+        assert_eq!(
+            nb.tree_illustration(),
+            "Raw Dataset\n\
+             ├─ [1] FILTER(airline == AA)\n\
+             │  ├─ [2] GROUP('airline', COUNT, 'delay')\n\
+             │  └─ [4] GROUP('airline', AVG, 'delay')\n\
+             └─ [9] FILTER(airline == DL)\n"
+        );
+    }
+
     #[test]
     fn replay_materializes_all_entries() {
         let nb = Notebook::replay("flights", &base(), &ops());
@@ -298,18 +321,6 @@ mod tests {
         assert!(md.contains("Exploration tree"));
         assert!(md.contains("Raw Dataset"));
         assert!(md.contains("└─"));
-    }
-
-    #[test]
-    fn tree_shows_branching() {
-        let nb = Notebook::replay("flights", &base(), &ops());
-        let tree = nb.tree_illustration();
-        // After BACK, the filter branches off the root: two children.
-        let root_children = tree
-            .lines()
-            .filter(|l| l.starts_with("├─") || l.starts_with("└─"))
-            .count();
-        assert_eq!(root_children, 2, "tree:\n{tree}");
     }
 
     #[test]

@@ -104,6 +104,57 @@ proptest! {
         prop_assert!(session.current_id() < session.n_displays());
     }
 
+    /// The operation log points at the displays the steps committed: op
+    /// `i` moved the session to `history[i + 1]`, and that node holds the
+    /// display (same spec, same row count) the step previewed. Notebooks
+    /// are read off the session through exactly these links.
+    #[test]
+    fn op_log_points_at_the_committed_displays(
+        tail in prop::collection::vec(action_strategy(), 0..20),
+        seed in 0u64..1000,
+    ) {
+        // A fixed prefix covers every kind of log entry, in this order: BACK
+        // at the root, an invalid op (attribute 3 does not exist), an
+        // applied group-by, and an applied BACK.
+        let prefix = [
+            EdaAction::Back,
+            EdaAction::Group { key: 3, func: 0, agg: 0 },
+            EdaAction::Group { key: 0, func: 0, agg: 1 },
+            EdaAction::Back,
+        ];
+        let actions: Vec<EdaAction> = prefix.iter().chain(&tail).copied().collect();
+        let mut env = EdaEnv::new(
+            base(40),
+            EnvConfig { episode_len: actions.len(), n_bins: 4, history_window: 3, seed },
+        );
+        env.reset();
+        let mut previews = Vec::new();
+        for action in &actions {
+            let op = env.resolve(action);
+            let preview = env.preview(&op);
+            previews.push((
+                preview.outcome.clone(),
+                preview.display.spec.clone(),
+                preview.display.result.n_rows(),
+            ));
+            env.commit(preview);
+        }
+        let session = env.session();
+        let outcomes: Vec<&OpOutcome> = session.ops().iter().take(4).map(|o| &o.outcome).collect();
+        prop_assert!(matches!(
+            outcomes[..],
+            [OpOutcome::BackAtRoot, OpOutcome::Invalid(_), OpOutcome::Applied, OpOutcome::Applied]
+        ));
+        prop_assert_eq!(session.ops().len(), actions.len());
+        for (i, (applied, (outcome, spec, rows))) in session.ops().iter().zip(&previews).enumerate() {
+            prop_assert_eq!(applied.to, session.history()[i + 1]);
+            prop_assert_eq!(&applied.outcome, outcome);
+            let shown = session.display(applied.to);
+            prop_assert_eq!(&shown.spec, spec);
+            prop_assert_eq!(shown.result.n_rows(), *rows);
+        }
+    }
+
     /// BACK never creates displays; filters/groups create at most one each.
     #[test]
     fn display_count_is_bounded_by_ops(

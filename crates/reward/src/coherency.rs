@@ -17,26 +17,25 @@ pub trait CoherencyRule: Send + Sync {
     fn vote(&self, info: &StepInfo<'_>) -> Vote;
 }
 
+/// Stacking more group-by attributes than this is incoherent (paper §4.2:
+/// "a group-by employed on more than four attributes").
+const MAX_GROUP_ATTRS: usize = 4;
+
+/// A shattered grouping with more groups than this is incoherent.
+const MAX_GROUP_CARDINALITY: usize = 50;
+
 /// Configuration for the data-dependent rules.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CoherencyConfig {
     /// Focal attributes the user cares about (paper §3): operations that
     /// involve them are preferred.
     pub focal_attrs: Vec<String>,
-    /// Group-by keys with more distinct values than this are incoherent.
-    pub max_group_cardinality: usize,
-    /// Stacking more group-by attributes than this is incoherent.
-    pub max_group_attrs: usize,
 }
 
 impl CoherencyConfig {
-    /// Defaults matching the paper's examples (4 group attributes max).
+    /// A configuration focused on `focal_attrs`.
     pub fn with_focal_attrs(focal_attrs: Vec<String>) -> Self {
-        Self {
-            focal_attrs,
-            max_group_cardinality: 50,
-            max_group_attrs: 4,
-        }
+        Self { focal_attrs }
     }
 }
 
@@ -77,8 +76,9 @@ rule!(InvalidOpRule, "invalid-op", info, {
 });
 
 rule!(TooManyGroupAttrsRule, "group-on-many-attrs", info, {
-    // Paper: "a group-by employed on more than four attributes is incoherent".
-    if info.op.op_type() == OpType::Group && info.new_display.spec.group_keys.len() > 4 {
+    if info.op.op_type() == OpType::Group
+        && info.new_display.spec.group_keys.len() > MAX_GROUP_ATTRS
+    {
         Vote::Incoherent
     } else {
         Vote::Abstain
@@ -399,16 +399,8 @@ impl CoherencyRule for FocalAttrRule {
 }
 
 /// Data-dependent rule: group-by keys with huge cardinality are unreadable.
-#[derive(Debug, Clone, Copy)]
-pub struct HighCardinalityKeyRule {
-    max: usize,
-}
-impl HighCardinalityKeyRule {
-    /// Create with the configured cardinality cap.
-    pub fn new(max: usize) -> Self {
-        Self { max }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HighCardinalityKeyRule;
 impl CoherencyRule for HighCardinalityKeyRule {
     fn name(&self) -> &'static str {
         "high-cardinality-key"
@@ -419,7 +411,9 @@ impl CoherencyRule for HighCardinalityKeyRule {
             // barely more rows than groups. A 254-group breakdown of a
             // 5000-row scan is exactly what an analyst wants to see.
             let rows = info.new_display.n_data_rows();
-            if info.op.op_type() == OpType::Group && g.n_groups > self.max && g.n_groups * 2 >= rows
+            if info.op.op_type() == OpType::Group
+                && g.n_groups > MAX_GROUP_CARDINALITY
+                && g.n_groups * 2 >= rows
             {
                 return Vote::Incoherent;
             }
@@ -457,9 +451,7 @@ impl CoherencyClassifier {
             Box::new(GroupAfterFilterRule),
             Box::new(AggregateIdentifierRule),
             Box::new(FocalAttrRule::new(config.focal_attrs.clone())),
-            Box::new(HighCardinalityKeyRule::new(
-                config.max_group_cardinality.max(1),
-            )),
+            Box::new(HighCardinalityKeyRule),
         ];
         let model = LabelModel::untrained(rules.len());
         Self { rules, model }
@@ -750,21 +742,20 @@ mod tests {
         assert_eq!(c.votes(&info)[idx], Vote::Incoherent);
     }
 
-    #[test]
-    fn high_cardinality_only_fires_on_shattered_groupings() {
-        use atena_dataframe::DataFrame;
-        // 400 rows, 200 distinct keys -> shattered (2 rows per group).
-        let shattered = DataFrame::builder()
+    /// The high-cardinality rule's vote on grouping `rows` rows by a key
+    /// with `keys` distinct values, spread evenly.
+    fn high_cardinality_vote(rows: usize, keys: usize) -> Vote {
+        let frame = DataFrame::builder()
             .int(
                 "k",
                 AttrRole::Categorical,
-                (0..400).map(|i| Some((i / 2) as i64)),
+                (0..rows).map(|i| Some((i % keys) as i64)),
             )
-            .int("v", AttrRole::Numeric, (0..400).map(|i| Some(i as i64)))
+            .int("v", AttrRole::Numeric, (0..rows).map(|i| Some(i as i64)))
             .build()
             .unwrap();
         let mut e = EdaEnv::new(
-            shattered,
+            frame,
             EnvConfig {
                 episode_len: 4,
                 ..Default::default()
@@ -784,34 +775,23 @@ mod tests {
             .iter()
             .position(|&n| n == "high-cardinality-key")
             .unwrap();
-        assert_eq!(c.votes(&info)[idx], Vote::Incoherent);
+        c.votes(&info)[idx]
+    }
 
+    #[test]
+    fn high_cardinality_only_fires_on_shattered_groupings() {
+        // 400 rows, 200 distinct keys -> shattered (2 rows per group).
+        assert_eq!(high_cardinality_vote(400, 200), Vote::Incoherent);
         // 4000 rows over 200 groups (20 each): a legitimate breakdown.
-        let dense = DataFrame::builder()
-            .int(
-                "k",
-                AttrRole::Categorical,
-                (0..4000).map(|i| Some((i % 200) as i64)),
-            )
-            .int("v", AttrRole::Numeric, (0..4000).map(|i| Some(i as i64)))
-            .build()
-            .unwrap();
-        let mut e = EdaEnv::new(
-            dense,
-            EnvConfig {
-                episode_len: 4,
-                ..Default::default()
-            },
-        );
-        e.reset();
-        let op = e.resolve(&EdaAction::Group {
-            key: 0,
-            func: 0,
-            agg: 1,
-        });
-        let p = e.preview(&op);
-        let info = e.step_info(&p);
-        assert_eq!(c.votes(&info)[idx], Vote::Abstain);
+        assert_eq!(high_cardinality_vote(4000, 200), Vote::Abstain);
+    }
+
+    #[test]
+    fn high_cardinality_cap_is_fifty_groups() {
+        // Both groupings are shattered (2 rows per group); only the
+        // group count crosses the cap.
+        assert_eq!(high_cardinality_vote(100, 50), Vote::Abstain);
+        assert_eq!(high_cardinality_vote(102, 51), Vote::Incoherent);
     }
 
     #[test]

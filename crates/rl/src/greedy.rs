@@ -9,58 +9,19 @@
 //! in.
 
 use crate::trainer::EpisodeRecord;
-use atena_env::{EdaAction, EdaEnv, RewardBreakdown, RewardModel};
+use atena_env::{EdaEnv, PreviewedStep, RewardBreakdown, RewardModel};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Options for the greedy search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GreedyConfig {
-    /// Optional cap on the number of candidate actions evaluated per step
-    /// (uniform subsample). `None` evaluates the entire enumerated space,
-    /// as the paper's Greedy baselines do.
-    pub candidate_cap: Option<usize>,
-    /// Seed for term sampling and tie-breaking.
-    pub seed: u64,
-    /// When `true`, the greedy commits exactly the term it scored (oracle
-    /// knowledge of the term draw). When `false`, it estimates each
-    /// `(attr, op, bin)` candidate with one sampled term but the
-    /// environment re-samples the term at execution — the same stochastic
-    /// interface the DRL agent faces.
-    pub oracle_terms: bool,
-}
-
-impl Default for GreedyConfig {
-    fn default() -> Self {
-        Self {
-            candidate_cap: None,
-            seed: 0,
-            oracle_terms: true,
-        }
-    }
-}
-
 /// Run one full greedy episode: at every step, preview every candidate
-/// action, score it with `reward`, and commit the argmax.
-pub fn greedy_episode(
-    env: &mut EdaEnv,
-    reward: &dyn RewardModel,
-    config: GreedyConfig,
-) -> EpisodeRecord {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    env.reset_with_seed(config.seed);
+/// action, score it with `reward`, and commit the argmax — exactly the term
+/// draw it scored. `seed` seeds the term sampling.
+pub fn greedy_episode(env: &mut EdaEnv, reward: &dyn RewardModel, seed: u64) -> EpisodeRecord {
+    env.reset_with_seed(seed);
     let mut breakdown = RewardBreakdown::default();
     while !env.done() {
-        let mut candidates: Vec<EdaAction> = env.action_space().enumerate_binned();
-        if let Some(cap) = config.candidate_cap {
-            if candidates.len() > cap {
-                candidates.shuffle(&mut rng);
-                candidates.truncate(cap);
-            }
-        }
-        let mut best: Option<(f64, EdaAction, atena_env::PreviewedStep)> = None;
-        for action in &candidates {
+        let mut best: Option<(f64, PreviewedStep)> = None;
+        for action in &env.action_space().enumerate_binned() {
             let op = env.resolve(action);
             let preview = env.preview(&op);
             let score = {
@@ -68,31 +29,18 @@ pub fn greedy_episode(
                 reward.score(&info).total
             };
             // Deterministic tie-break: strictly greater wins, first seen kept.
-            if best.as_ref().is_none_or(|(b, _, _)| score > *b) {
-                best = Some((score, *action, preview));
+            if best.as_ref().is_none_or(|(b, _)| score > *b) {
+                best = Some((score, preview));
             }
         }
-        let (_score, action, preview) =
-            best.expect("candidate set is never empty (BACK always exists)");
-        if config.oracle_terms {
-            // Re-score the winner once to keep the full decomposition (the
-            // candidate loop only tracked totals).
-            breakdown += {
-                let info = env.step_info(&preview);
-                reward.score(&info)
-            };
-            env.commit(preview);
-        } else {
-            // Re-resolve: the term is re-drawn from the chosen bin, and the
-            // realized (not estimated) reward is accrued.
-            let op = env.resolve(&action);
-            let preview = env.preview(&op);
-            breakdown += {
-                let info = env.step_info(&preview);
-                reward.score(&info)
-            };
-            env.commit(preview);
-        }
+        let (_score, preview) = best.expect("candidate set is never empty (BACK always exists)");
+        // Re-score the winner once to keep the full decomposition (the
+        // candidate loop only tracked totals).
+        breakdown += {
+            let info = env.step_info(&preview);
+            reward.score(&info)
+        };
+        env.commit(preview);
     }
     EpisodeRecord {
         ops: env.session().ops().iter().map(|o| o.op.clone()).collect(),
@@ -170,7 +118,7 @@ mod tests {
     fn greedy_completes_episode() {
         let mut e = env();
         let r = reward();
-        let ep = greedy_episode(&mut e, &r, GreedyConfig::default());
+        let ep = greedy_episode(&mut e, &r, 0);
         assert_eq!(ep.ops.len(), 4);
         assert!(ep.total_reward.is_finite());
     }
@@ -179,7 +127,7 @@ mod tests {
     fn greedy_beats_random_on_average() {
         let mut e = env();
         let r = reward();
-        let greedy = greedy_episode(&mut e, &r, GreedyConfig::default()).total_reward;
+        let greedy = greedy_episode(&mut e, &r, 0).total_reward;
         let mut random_sum = 0.0;
         for seed in 0..8 {
             random_sum += random_episode(&mut e, &r, seed).total_reward;
@@ -192,29 +140,13 @@ mod tests {
     }
 
     #[test]
-    fn candidate_cap_still_completes() {
-        let mut e = env();
-        let r = reward();
-        let ep = greedy_episode(
-            &mut e,
-            &r,
-            GreedyConfig {
-                candidate_cap: Some(10),
-                seed: 1,
-                ..Default::default()
-            },
-        );
-        assert_eq!(ep.ops.len(), 4);
-    }
-
-    #[test]
     fn greedy_io_differs_from_greedy_cr() {
         let mut e = env();
         let cr = reward();
         let io = CompoundReward::new(CoherencyConfig::default())
             .with_components(RewardComponents::interestingness_only());
-        let ep_cr = greedy_episode(&mut e, &cr, GreedyConfig::default());
-        let ep_io = greedy_episode(&mut e, &io, GreedyConfig::default());
+        let ep_cr = greedy_episode(&mut e, &cr, 0);
+        let ep_io = greedy_episode(&mut e, &io, 0);
         // The two objectives generally select different operation sequences.
         assert_ne!(ep_cr.ops, ep_io.ops);
     }
@@ -223,24 +155,8 @@ mod tests {
     fn greedy_is_deterministic_given_seed() {
         let mut e = env();
         let r = reward();
-        let a = greedy_episode(
-            &mut e,
-            &r,
-            GreedyConfig {
-                candidate_cap: None,
-                seed: 9,
-                ..Default::default()
-            },
-        );
-        let b = greedy_episode(
-            &mut e,
-            &r,
-            GreedyConfig {
-                candidate_cap: None,
-                seed: 9,
-                ..Default::default()
-            },
-        );
+        let a = greedy_episode(&mut e, &r, 9);
+        let b = greedy_episode(&mut e, &r, 9);
         assert_eq!(a.ops, b.ops);
     }
 }

@@ -33,7 +33,7 @@ mod twofold;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use flat::FlatPolicy;
-pub use greedy::{greedy_episode, random_episode, GreedyConfig};
+pub use greedy::{greedy_episode, random_episode};
 pub use policy::{
     active_heads, op_of_head_choice, ActionChoice, ActionMapper, Evaluation, MappedAction, Policy,
     PolicyRow, PolicyStep, N_HEADS,

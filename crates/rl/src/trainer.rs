@@ -39,12 +39,8 @@ pub struct TrainerConfig {
     /// memoization (DESIGN.md §4i), so any capacity produces bit-identical
     /// results at the same seed.
     pub display_cache: usize,
-    /// Boltzmann exploration temperature at the start of training.
+    /// Boltzmann exploration temperature.
     pub temperature: f32,
-    /// Temperature at the end of a `train()` call; the schedule anneals
-    /// linearly between the two. Set equal to `temperature` (the default)
-    /// to disable annealing.
-    pub temperature_final: f32,
     /// Episodes averaged per convergence-curve point.
     pub eval_window: usize,
     /// Master seed.
@@ -60,7 +56,6 @@ impl Default for TrainerConfig {
             n_workers: 4,
             display_cache: crate::source::DEFAULT_DISPLAY_CACHE,
             temperature: 1.0,
-            temperature_final: 1.0,
             eval_window: 20,
             seed: 0,
         }
@@ -203,9 +198,7 @@ impl Trainer {
         // results are bit-identical with the tracer enabled or disabled.
         let tracer = Arc::clone(&self.tracer);
         while self.total_steps - start < total_steps {
-            let progress = ((self.total_steps - start) as f32 / total_steps.max(1) as f32).min(1.0);
-            let temperature = self.config.temperature
-                + (self.config.temperature_final - self.config.temperature) * progress;
+            let temperature = self.config.temperature;
             let trace = tracer.trace("train.iteration");
             trace.attr("iter", self.total_iterations.to_string());
             let collect_span = trace.span("rollout.collect");

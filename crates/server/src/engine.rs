@@ -240,6 +240,26 @@ impl Engine {
         request: &NotebookRequest,
         parent: Option<&SpanGuard<'_, '_>>,
     ) -> Result<NotebookResponse, EngineError> {
+        let env = self.decode_session(frame, request, parent)?;
+        // Every display the decode reached is already in its session.
+        let notebook = Notebook::from_session(&request.dataset, env.session());
+        Ok(NotebookResponse {
+            dataset: request.dataset.clone(),
+            episode_len: request.episode_len,
+            seed: request.seed,
+            strategy: self.bundle.strategy.name().to_string(),
+            notebook: notebook.summary(),
+        })
+    }
+
+    /// Step one environment through a greedy decode and return it; its
+    /// session holds every operation and display of the notebook.
+    fn decode_session(
+        &self,
+        frame: &Arc<DataFrame>,
+        request: &NotebookRequest,
+        parent: Option<&SpanGuard<'_, '_>>,
+    ) -> Result<EdaEnv, EngineError> {
         let mut env_config = self.bundle.env.clone();
         env_config.episode_len = request.episode_len;
         env_config.seed = request.seed;
@@ -263,15 +283,7 @@ impl Engine {
             let _s = parent.map(|p| p.child("env.step"));
             env.step(&action);
         }
-        let ops: Vec<_> = env.session().ops().iter().map(|o| o.op.clone()).collect();
-        let notebook = Notebook::replay(&request.dataset, frame, &ops);
-        Ok(NotebookResponse {
-            dataset: request.dataset.clone(),
-            episode_len: request.episode_len,
-            seed: request.seed,
-            strategy: self.bundle.strategy.name().to_string(),
-            notebook: notebook.summary(),
-        })
+        Ok(env)
     }
 }
 
@@ -280,6 +292,7 @@ mod tests {
     use super::*;
     use atena_core::{train_policy_bundle, AtenaConfig, Strategy};
     use atena_dataframe::AttrRole;
+    use atena_env::{OpOutcome, ResolvedOp};
 
     fn base() -> DataFrame {
         DataFrame::builder()
@@ -298,10 +311,15 @@ mod tests {
     }
 
     fn engine() -> Engine {
+        engine_trained_with_seed(0)
+    }
+
+    fn engine_trained_with_seed(seed: u64) -> Engine {
         let mut config = AtenaConfig::quick();
         config.train_steps = 300;
         config.probe_steps = 60;
         config.env.episode_len = 4;
+        config.trainer.seed = seed;
         let bundle = train_policy_bundle("tiny", base(), vec![], config, Strategy::Atena).unwrap();
         Engine::new(bundle, base()).unwrap()
     }
@@ -415,5 +433,47 @@ mod tests {
             e.validate_for_frame("ds-bad", &narrow, None, None),
             Err(EngineError::IncompatibleDataset(_))
         ));
+    }
+
+    #[test]
+    fn served_notebook_equals_an_independent_replay() {
+        // Trainer seed 2 decodes a policy whose greedy sessions cover every
+        // kind of log entry; the assert below the grid pins that.
+        let e = engine_trained_with_seed(2);
+        let (mut invalid, mut back, mut back_at_root) = (0, 0, 0);
+        for seed in 0..6 {
+            for episode_len in [1, 4, 12] {
+                let req = e.validate("tiny", Some(episode_len), Some(seed)).unwrap();
+                let response = e.decode(&req).unwrap();
+                let served = serde_json::to_string(&response).unwrap();
+                let env = e.decode_session(&e.frame, &req, None).unwrap();
+                let mut ops = Vec::new();
+                for applied in env.session().ops() {
+                    match (&applied.op, &applied.outcome) {
+                        (_, OpOutcome::Invalid(_)) => invalid += 1,
+                        (_, OpOutcome::BackAtRoot) => back_at_root += 1,
+                        (ResolvedOp::Back, OpOutcome::Applied) => back += 1,
+                        _ => {}
+                    }
+                    ops.push(applied.op.clone());
+                }
+                // Replay re-materializes every display in a fresh,
+                // uncached environment: an independent check on reading
+                // the notebook off the decode session.
+                let replayed = NotebookResponse {
+                    notebook: Notebook::replay(&req.dataset, &e.frame, &ops).summary(),
+                    ..response
+                };
+                assert_eq!(
+                    served,
+                    serde_json::to_string(&replayed).unwrap(),
+                    "seed {seed}, episode_len {episode_len}"
+                );
+            }
+        }
+        assert!(
+            invalid > 0 && back > 0 && back_at_root > 0,
+            "grid must cover invalid ops ({invalid}), BACK ({back}) and BACK at the root ({back_at_root})"
+        );
     }
 }

@@ -36,13 +36,11 @@
 
 #![warn(missing_docs)]
 
-mod cache;
 mod engine;
 mod http;
 mod pool;
 mod signal;
 
-pub use cache::LruCache;
 pub use engine::{Engine, EngineError, NotebookRequest, NotebookResponse, MAX_EPISODE_LEN};
 pub use http::{
     read_response, ClientResponse, DeadlineWriter, ParseError, ReadEnd, Request, RequestReader,
@@ -51,6 +49,7 @@ pub use http::{
 pub use pool::ThreadPool;
 pub use signal::{install_handlers, request_shutdown, shutdown_requested};
 
+use atena_env::LruCache;
 use atena_registry::{
     AdmissionController, DatasetRegistry, RegistryConfig, RegistryError, TenantLimits,
 };

@@ -10,7 +10,7 @@
 use atena::dataframe::{AttrRole, DataFrame};
 use atena::env::{EdaEnv, EnvConfig};
 use atena::reward::{CoherencyConfig, CompoundReward};
-use atena::rl::{greedy_episode, GreedyConfig};
+use atena::rl::greedy_episode;
 use atena::Notebook;
 use atena_env::RewardModel;
 
@@ -73,7 +73,7 @@ fn main() {
     );
 
     // 2. Run a greedy compound-reward exploration and narrate each step.
-    let episode = greedy_episode(&mut env, &reward, GreedyConfig::default());
+    let episode = greedy_episode(&mut env, &reward, 0);
     println!("greedy exploration (one-step lookahead on the compound reward):\n");
 
     // Replay to show per-step breakdowns.
