@@ -71,21 +71,6 @@ pub struct StepInfo<'a> {
     pub base: &'a DataFrame,
 }
 
-/// One committed environment step.
-#[derive(Debug, Clone)]
-pub struct Transition {
-    /// Observation after the step (f32, ready for the policy network).
-    pub observation: Vec<f32>,
-    /// The resolved operation that was applied.
-    pub op: ResolvedOp,
-    /// Outcome classification.
-    pub outcome: OpOutcome,
-    /// Zero-based index of the step just taken.
-    pub step: usize,
-    /// True when the episode has reached `episode_len` operations.
-    pub done: bool,
-}
-
 /// Reward breakdown per step (the compound signal of paper §4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RewardBreakdown {
@@ -308,21 +293,19 @@ impl EdaEnv {
         self.step >= self.config.episode_len
     }
 
-    /// Reset to a fresh episode; returns the initial observation.
-    pub fn reset(&mut self) -> Vec<f32> {
+    /// Reset to a fresh episode.
+    pub fn reset(&mut self) {
         let root = self.root_display();
         self.session = SessionTree::new(root);
         self.step = 0;
         self.rng = StdRng::seed_from_u64(self.config.seed);
-        self.observation()
     }
 
     /// Reset with a different term-sampling seed (used between episodes so
     /// exploration does not replay identical token draws).
-    pub fn reset_with_seed(&mut self, seed: u64) -> Vec<f32> {
-        let obs = self.reset();
+    pub fn reset_with_seed(&mut self, seed: u64) {
+        self.reset();
         self.rng = StdRng::seed_from_u64(seed);
-        obs
     }
 
     /// Resolve an index-form action into a concrete operation, sampling the
@@ -519,8 +502,9 @@ impl EdaEnv {
         }
     }
 
-    /// Commit a previewed step, advancing the episode.
-    pub fn commit(&mut self, preview: PreviewedStep) -> Transition {
+    /// Commit a previewed step, advancing the episode. The applied op and
+    /// its outcome are `session().ops().last()`.
+    pub fn commit(&mut self, preview: PreviewedStep) {
         let PreviewedStep {
             op,
             outcome,
@@ -535,41 +519,33 @@ impl EdaEnv {
         if matches!(outcome, OpOutcome::Invalid(_)) {
             self.telemetry.ops_invalid.inc();
         }
-        match &outcome {
+        match outcome {
             OpOutcome::Applied => match back_target {
                 Some(_) => {
                     self.session.go_back();
                 }
                 None => {
-                    self.session.push_display(op.clone(), display);
+                    self.session.push_display(op, display);
                 }
             },
             OpOutcome::BackAtRoot => {
                 self.session.go_back();
             }
             OpOutcome::Invalid(reason) => {
-                self.session.record_invalid(op.clone(), reason.clone());
+                self.session.record_invalid(op, reason);
             }
         }
         self.step += 1;
-        Transition {
-            observation: self.observation(),
-            op,
-            outcome,
-            step: self.step - 1,
-            done: self.done(),
-        }
     }
 
     /// Resolve, preview, and commit in one call (the plain RL interface).
-    pub fn step(&mut self, action: &EdaAction) -> Transition {
+    pub fn step(&mut self, action: &EdaAction) {
         // atena-lint: allow(wall-clock) — step-latency telemetry; never affects results
         let start = std::time::Instant::now();
         let op = self.resolve(action);
         let preview = self.preview(&op);
-        let t = self.commit(preview);
+        self.commit(preview);
         self.telemetry.step_secs.record_duration(start.elapsed());
-        t
     }
 
     /// The step-latency histogram (resolve + preview + commit), shared with
@@ -648,7 +624,8 @@ mod tests {
     #[test]
     fn reset_observation_shape() {
         let mut e = env();
-        let obs = e.reset();
+        e.reset();
+        let obs = e.observation();
         assert_eq!(obs.len(), e.observation_dim());
         // Last two display slots are zero padding.
         let dim = DisplayVector::dim_for(2);
@@ -662,14 +639,15 @@ mod tests {
         let mut e = env();
         e.reset();
         // attr 1 = delay, op 0 = Eq, some bin.
-        let t = e.step(&EdaAction::Filter {
+        e.step(&EdaAction::Filter {
             attr: 1,
             op: 0,
             bin: 0,
         });
+        let t = e.session().ops().last().unwrap();
         assert!(t.outcome.is_applied(), "outcome: {:?}", t.outcome);
-        assert_eq!(t.step, 0);
-        assert!(!t.done);
+        assert_eq!(e.step_count() - 1, 0);
+        assert!(!e.done());
         assert_eq!(e.session().n_displays(), 2);
         assert!(e.session().current().n_data_rows() < 6);
     }
@@ -679,12 +657,12 @@ mod tests {
         let mut e = env();
         e.reset();
         // key 0 = airline, func 2 = Avg, agg 1 = delay.
-        let t = e.step(&EdaAction::Group {
+        e.step(&EdaAction::Group {
             key: 0,
             func: 2,
             agg: 1,
         });
-        assert!(t.outcome.is_applied());
+        assert!(e.session().ops().last().unwrap().outcome.is_applied());
         let d = e.session().current();
         assert!(d.grouping.is_some());
         assert_eq!(d.grouping.as_ref().unwrap().n_groups, 3);
@@ -695,11 +673,12 @@ mod tests {
         let mut e = env();
         e.reset();
         // SUM over the string column "airline" (func 1 = Sum, agg 0 = airline).
-        let t = e.step(&EdaAction::Group {
+        e.step(&EdaAction::Group {
             key: 0,
             func: 1,
             agg: 0,
         });
+        let t = e.session().ops().last().unwrap();
         assert!(matches!(t.outcome, OpOutcome::Invalid(_)));
         assert_eq!(e.session().n_displays(), 1);
         assert_eq!(e.step_count(), 1);
@@ -710,11 +689,12 @@ mod tests {
         let mut e = env();
         e.reset();
         // Gt (op index 2) on the string column "airline".
-        let t = e.step(&EdaAction::Filter {
+        e.step(&EdaAction::Filter {
             attr: 0,
             op: 2,
             bin: 0,
         });
+        let t = e.session().ops().last().unwrap();
         assert!(matches!(t.outcome, OpOutcome::Invalid(_)));
     }
 
@@ -722,14 +702,16 @@ mod tests {
     fn back_and_back_at_root() {
         let mut e = env();
         e.reset();
-        let t = e.step(&EdaAction::Back);
+        e.step(&EdaAction::Back);
+        let t = e.session().ops().last().unwrap();
         assert_eq!(t.outcome, OpOutcome::BackAtRoot);
         e.step(&EdaAction::Group {
             key: 0,
             func: 0,
             agg: 1,
         });
-        let t = e.step(&EdaAction::Back);
+        e.step(&EdaAction::Back);
+        let t = e.session().ops().last().unwrap();
         assert!(t.outcome.is_applied());
         assert_eq!(e.session().current_id(), 0);
     }
@@ -740,9 +722,9 @@ mod tests {
         e.reset();
         let mut done = false;
         for i in 0..5 {
-            let t = e.step(&EdaAction::Back);
-            done = t.done;
-            assert_eq!(t.step, i);
+            e.step(&EdaAction::Back);
+            done = e.done();
+            assert_eq!(e.step_count() - 1, i);
         }
         assert!(done);
         assert!(e.done());
@@ -773,12 +755,12 @@ mod tests {
         let run = || {
             let mut e = env();
             e.reset();
-            let t = e.step(&EdaAction::Filter {
+            e.step(&EdaAction::Filter {
                 attr: 0,
                 op: 0,
                 bin: 3,
             });
-            t.op
+            e.session().ops().last().unwrap().op.clone()
         };
         assert_eq!(run(), run());
     }

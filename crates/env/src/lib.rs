@@ -32,6 +32,5 @@ pub use cache::{display_key, DisplayCache, DisplayCacheStats, LruCache};
 pub use display::{Display, DisplaySpec, DisplayVector, GroupingInfo};
 pub use env::{
     EdaEnv, EnvConfig, NullReward, PreviewedStep, RewardBreakdown, RewardModel, StepInfo,
-    Transition,
 };
 pub use session::{AppliedOp, OpOutcome, SessionTree};

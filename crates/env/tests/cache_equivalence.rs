@@ -59,6 +59,19 @@ fn action_strategy() -> impl Strategy<Value = EdaAction> {
 /// resolved op, the outcome, and every observation bit.
 type StepRecord = (ResolvedOp, OpOutcome, Vec<u32>, usize, bool);
 
+/// Take one step and record it bit-exactly, read back off the env.
+fn step_record(env: &mut EdaEnv, action: &EdaAction) -> StepRecord {
+    env.step(action);
+    let last = env.session().ops().last().expect("a step records an op");
+    (
+        last.op.clone(),
+        last.outcome.clone(),
+        env.observation().iter().map(|x| x.to_bits()).collect(),
+        env.step_count() - 1,
+        env.done(),
+    )
+}
+
 /// Run one full episode and record each transition bit-exactly.
 fn transcript(
     actions: &[EdaAction],
@@ -78,16 +91,7 @@ fn transcript(
     env.reset_with_seed(seed);
     actions
         .iter()
-        .map(|action| {
-            let t = env.step(action);
-            (
-                t.op,
-                t.outcome,
-                t.observation.iter().map(|x| x.to_bits()).collect(),
-                t.step,
-                t.done,
-            )
-        })
+        .map(|action| step_record(&mut env, action))
         .collect()
 }
 
@@ -149,21 +153,12 @@ proptest! {
         let mut got_a = Vec::new();
         let mut got_b = Vec::new();
         // Interleave the two lanes step by step.
-        let record = |t: atena_env::Transition| {
-            (
-                t.op,
-                t.outcome,
-                t.observation.iter().map(|x| x.to_bits()).collect::<Vec<u32>>(),
-                t.step,
-                t.done,
-            )
-        };
         for i in 0..actions_a.len().max(actions_b.len()) {
             if let Some(action) = actions_a.get(i) {
-                got_a.push(record(env_a.step(action)));
+                got_a.push(step_record(&mut env_a, action));
             }
             if let Some(action) = actions_b.get(i) {
-                got_b.push(record(env_b.step(action)));
+                got_b.push(step_record(&mut env_b, action));
             }
         }
         prop_assert_eq!(&got_a, &solo_a);

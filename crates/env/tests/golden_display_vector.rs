@@ -110,7 +110,8 @@ fn observation_concatenates_three_displays_most_recent_first() {
             seed: 7,
         },
     );
-    let obs = env.reset();
+    env.reset();
+    let obs = env.observation();
     let dim = DisplayVector::dim_for(2);
     assert_eq!(env.observation_dim(), 3 * dim);
     assert_eq!(obs.len(), 3 * dim);
@@ -133,11 +134,12 @@ fn observation_concatenates_three_displays_most_recent_first() {
     );
 
     // One applied op shifts the root into slot 1.
-    let t = env.step(&EdaAction::Group {
+    env.step(&EdaAction::Group {
         key: 0,
         func: 0,
         agg: 1,
     });
+    let obs = env.observation();
     let current: Vec<f32> = env
         .session()
         .current()
@@ -146,7 +148,7 @@ fn observation_concatenates_three_displays_most_recent_first() {
         .iter()
         .map(|&v| v as f32)
         .collect();
-    assert_eq!(&t.observation[..dim], &current[..]);
-    assert_eq!(&t.observation[dim..2 * dim], &root_f32[..]);
-    assert!(t.observation[2 * dim..].iter().all(|&v| v == 0.0));
+    assert_eq!(&obs[..dim], &current[..]);
+    assert_eq!(&obs[dim..2 * dim], &root_f32[..]);
+    assert!(obs[2 * dim..].iter().all(|&v| v == 0.0));
 }

@@ -64,15 +64,16 @@ proptest! {
             base(60),
             EnvConfig { episode_len: actions.len(), n_bins: 6, history_window: 3, seed },
         );
-        let obs = env.reset();
+        env.reset();
         let dim = env.observation_dim();
-        prop_assert_eq!(obs.len(), dim);
+        prop_assert_eq!(env.observation().len(), dim);
         for (i, action) in actions.iter().enumerate() {
-            let t = env.step(action);
-            prop_assert_eq!(t.step, i);
-            prop_assert_eq!(t.observation.len(), dim);
-            prop_assert!(t.observation.iter().all(|v| v.is_finite()));
-            prop_assert_eq!(t.done, i + 1 == actions.len());
+            env.step(action);
+            let obs = env.observation();
+            prop_assert_eq!(env.step_count() - 1, i);
+            prop_assert_eq!(obs.len(), dim);
+            prop_assert!(obs.iter().all(|v| v.is_finite()));
+            prop_assert_eq!(env.done(), i + 1 == actions.len());
         }
         prop_assert!(env.done());
         prop_assert_eq!(env.session().ops().len(), actions.len());
@@ -167,9 +168,10 @@ proptest! {
         env.reset();
         let mut creating_ops = 0usize;
         for action in &actions {
-            let t = env.step(action);
+            env.step(action);
+            let outcome = &env.session().ops().last().unwrap().outcome;
             if !matches!(action, EdaAction::Back)
-                && matches!(t.outcome, OpOutcome::Applied)
+                && matches!(outcome, OpOutcome::Applied)
             {
                 creating_ops += 1;
             }

@@ -8,7 +8,7 @@
 //! this crate rejects the common ways of breaking it *by construction*, on
 //! every path, before anything runs.
 //!
-//! Five rule families, applied per crate tier (see [`Config`]):
+//! Five rule families, each scoped by the constants below:
 //!
 //! * **hash-order** — `HashMap`/`HashSet` in semantic crates, where
 //!   iteration order would leak into results. Use `BTreeMap`/`BTreeSet`
@@ -28,17 +28,15 @@
 //!
 //! Suppression is explicit only: an inline
 //! `// atena-lint: allow(<rule>) — <reason>` annotation (reason mandatory,
-//! applies to its own line and the next), or an entry in the checked-in
-//! ratchet baseline (`lint-baseline.json`), which caps the number of
-//! tolerated findings per `(file, rule)` so new violations always fail CI.
+//! applies to its own line and the next). The gate is
+//! `tests/self_check.rs`, which `cargo test --workspace` runs: any
+//! unsuppressed finding in the workspace fails it.
 
 #![forbid(unsafe_code)]
 
-pub mod json;
 pub mod strip;
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 // ---------------------------------------------------------------------------
@@ -77,44 +75,11 @@ impl Rule {
     pub fn from_id(id: &str) -> Option<Rule> {
         Rule::ALL.into_iter().find(|r| r.id() == id)
     }
-
-    pub fn summary(self) -> &'static str {
-        match self {
-            Rule::HashOrder => "no HashMap/HashSet in semantic crates (iteration order leaks)",
-            Rule::WallClock => "no wall-clock reads outside execution-layer crates",
-            Rule::RngDiscipline => {
-                "seeds come only from the registered runtime stream constructors"
-            }
-            Rule::PanicPath => "no unwrap/expect/panic/unguarded indexing in pooled request paths",
-            Rule::UnsafeInventory => "unsafe only in allowlisted modules, with SAFETY comments",
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Findings & report
 // ---------------------------------------------------------------------------
-
-/// Disposition of a finding after annotations and the baseline are applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Status {
-    /// Unsuppressed — fails the check.
-    New,
-    /// Suppressed by an inline `allow` annotation with a reason.
-    Allowed,
-    /// Covered by the checked-in ratchet baseline.
-    Baselined,
-}
-
-impl Status {
-    pub fn id(self) -> &'static str {
-        match self {
-            Status::New => "new",
-            Status::Allowed => "allowed",
-            Status::Baselined => "baselined",
-        }
-    }
-}
 
 #[derive(Debug, Clone)]
 pub struct Finding {
@@ -122,12 +87,12 @@ pub struct Finding {
     pub line: usize,
     pub rule: Rule,
     pub message: String,
-    pub status: Status,
-    /// Annotation reason, for `Status::Allowed`.
-    pub reason: Option<String>,
+    /// Reason of the inline `allow` annotation that suppresses this
+    /// finding; `None` means the finding fails the check.
+    pub allowed: Option<String>,
 }
 
-/// Result of a workspace (or single-source) scan.
+/// Result of a workspace scan.
 #[derive(Debug, Default)]
 pub struct Report {
     /// All findings, sorted by `(file, line, rule)`.
@@ -136,202 +101,21 @@ pub struct Report {
 }
 
 impl Report {
-    pub fn count(&self, status: Status) -> usize {
-        self.findings.iter().filter(|f| f.status == status).count()
-    }
-
     pub fn new_findings(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.status == Status::New)
-    }
-
-    /// Machine-readable report, stable field order, one parseable document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"version\":1,\"files_scanned\":{},\"rules_checked\":{},\"summary\":{{\"new\":{},\"allowed\":{},\"baselined\":{}}},\"findings\":[",
-            self.files_scanned,
-            Rule::ALL.len(),
-            self.count(Status::New),
-            self.count(Status::Allowed),
-            self.count(Status::Baselined),
-        );
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"status\":\"{}\",\"message\":\"{}\"",
-                json::escape(&f.file),
-                f.line,
-                f.rule.id(),
-                f.status.id(),
-                json::escape(&f.message),
-            );
-            if let Some(reason) = &f.reason {
-                let _ = write!(out, ",\"reason\":\"{}\"", json::escape(reason));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Human-readable report: new findings first (the actionable set), then
-    /// suppressed ones, then a one-line summary.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for f in self.findings.iter().filter(|f| f.status == Status::New) {
-            let _ = writeln!(
-                out,
-                "{}:{}: [{}] {}",
-                f.file,
-                f.line,
-                f.rule.id(),
-                f.message
-            );
-        }
-        for f in self.findings.iter().filter(|f| f.status != Status::New) {
-            let _ = write!(
-                out,
-                "{}:{}: [{}] ({}) {}",
-                f.file,
-                f.line,
-                f.rule.id(),
-                f.status.id(),
-                f.message
-            );
-            if let Some(reason) = &f.reason {
-                let _ = write!(out, " — {reason}");
-            }
-            out.push('\n');
-        }
-        let _ = writeln!(
-            out,
-            "atena-lint: {} finding(s) — {} new, {} allowed, {} baselined; {} file(s) scanned, {} rule(s) checked",
-            self.findings.len(),
-            self.count(Status::New),
-            self.count(Status::Allowed),
-            self.count(Status::Baselined),
-            self.files_scanned,
-            Rule::ALL.len(),
-        );
-        out
+        self.findings.iter().filter(|f| f.allowed.is_none())
     }
 }
 
 // ---------------------------------------------------------------------------
-// Baseline (ratchet)
+// Rule scopes & file classification
 // ---------------------------------------------------------------------------
 
-/// The checked-in ratchet: per `(file, rule)`, how many findings are
-/// tolerated as legacy. Findings beyond the cap stay `New` and fail the
-/// check, so counts can only go down without an explicit regeneration.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct Baseline {
-    pub entries: BTreeMap<(String, String), usize>,
-}
-
-impl Baseline {
-    /// Parse `lint-baseline.json`:
-    /// `{"version":1,"entries":[{"file":..,"rule":..,"count":..}, ...]}`.
-    pub fn parse(src: &str) -> Result<Baseline, String> {
-        let doc = json::parse(src)?;
-        if doc.get("version").and_then(|v| v.as_u64()) != Some(1) {
-            return Err("baseline: unsupported or missing version".into());
-        }
-        let mut entries = BTreeMap::new();
-        for e in doc
-            .get("entries")
-            .and_then(|v| v.as_arr())
-            .ok_or("baseline: missing entries array")?
-        {
-            let file = e
-                .get("file")
-                .and_then(|v| v.as_str())
-                .ok_or("baseline entry: missing file")?;
-            let rule = e
-                .get("rule")
-                .and_then(|v| v.as_str())
-                .ok_or("baseline entry: missing rule")?;
-            if Rule::from_id(rule).is_none() {
-                return Err(format!("baseline entry: unknown rule {rule:?}"));
-            }
-            let count = e
-                .get("count")
-                .and_then(|v| v.as_u64())
-                .ok_or("baseline entry: missing count")? as usize;
-            entries.insert((file.to_string(), rule.to_string()), count);
-        }
-        Ok(Baseline { entries })
-    }
-
-    pub fn to_json(&self) -> String {
-        if self.entries.is_empty() {
-            return String::from("{\n  \"version\": 1,\n  \"entries\": []\n}\n");
-        }
-        let mut out = String::from("{\n  \"version\": 1,\n  \"entries\": [");
-        for (i, ((file, rule), count)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"file\": \"{}\", \"rule\": \"{}\", \"count\": {}}}",
-                json::escape(file),
-                json::escape(rule),
-                count
-            );
-        }
-        if !self.entries.is_empty() {
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Baseline that exactly covers the report's `New` findings.
-    pub fn from_report(report: &Report) -> Baseline {
-        let mut entries: BTreeMap<(String, String), usize> = BTreeMap::new();
-        for f in report.new_findings() {
-            *entries
-                .entry((f.file.clone(), f.rule.id().to_string()))
-                .or_default() += 1;
-        }
-        Baseline { entries }
-    }
-
-    /// Mark up to `count` `New` findings per `(file, rule)` as `Baselined`,
-    /// in line order; the excess stays `New`.
-    pub fn apply(&self, findings: &mut [Finding]) {
-        let mut remaining = self.entries.clone();
-        for f in findings.iter_mut() {
-            if f.status != Status::New {
-                continue;
-            }
-            let key = (f.file.clone(), f.rule.id().to_string());
-            if let Some(n) = remaining.get_mut(&key) {
-                if *n > 0 {
-                    *n -= 1;
-                    f.status = Status::Baselined;
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Config & file classification
-// ---------------------------------------------------------------------------
-
-/// Crate tiers, for reporting. Rule applicability is driven by the explicit
-/// per-rule sets in [`Config`], not by the tier: a crate listed in both
-/// `semantic_crates` and `wallclock_exempt_crates` would be semantic for
-/// hash-order and execution-exempt for wall-clock.
+/// Crate tiers. Rule applicability is driven by the explicit per-rule
+/// scopes below, not by the tier: a crate listed in both `SEMANTIC_CRATES`
+/// and `WALLCLOCK_EXEMPT_CRATES` would be semantic for hash-order and
+/// execution-exempt for wall-clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    Semantic,
     Execution,
     Vendored,
     Test,
@@ -347,58 +131,26 @@ pub struct FileClass {
     pub crate_root: bool,
 }
 
-/// Rule scoping for one workspace. [`Config::workspace_default`] encodes the
-/// ATENA tree; tests construct narrower configs against fixture paths.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// hash-order applies to these crate dirs.
-    pub semantic_crates: Vec<&'static str>,
-    /// wall-clock is permitted in these crate dirs (execution layer).
-    pub wallclock_exempt_crates: Vec<&'static str>,
-    /// rng-discipline permits seed construction only in these files.
-    pub rng_allowed_files: Vec<&'static str>,
-    /// panic-path applies to these files (pooled request/leader paths).
-    pub panic_path_files: Vec<&'static str>,
-    /// unsafe is permitted (with SAFETY comments) only in these files.
-    pub unsafe_allowed_files: Vec<&'static str>,
-    /// Crate dirs whose roots may omit `#![forbid(unsafe_code)]` because
-    /// they contain allowlisted unsafe modules.
-    pub forbid_exempt_crates: Vec<&'static str>,
-}
-
-impl Config {
-    pub fn workspace_default() -> Config {
-        Config {
-            semantic_crates: vec!["dataframe", "env", "reward", "rl", "core", "batch"],
-            wallclock_exempt_crates: vec!["telemetry", "bench", "benchmark", "runtime", "server"],
-            rng_allowed_files: vec!["crates/runtime/src/lib.rs"],
-            panic_path_files: vec![
-                "crates/server/src/lib.rs",
-                "crates/server/src/http.rs",
-                "crates/server/src/engine.rs",
-                "crates/server/src/pool.rs",
-                "crates/server/src/signal.rs",
-                "crates/batch/src/lib.rs",
-            ],
-            unsafe_allowed_files: vec!["crates/server/src/signal.rs"],
-            forbid_exempt_crates: vec!["server"],
-        }
-    }
-
-    fn is_semantic(&self, class: &FileClass) -> bool {
-        class
-            .crate_dir
-            .as_deref()
-            .is_some_and(|c| self.semantic_crates.contains(&c))
-    }
-
-    fn is_wallclock_exempt(&self, class: &FileClass) -> bool {
-        class
-            .crate_dir
-            .as_deref()
-            .is_some_and(|c| self.wallclock_exempt_crates.contains(&c))
-    }
-}
+/// hash-order applies to these crate dirs.
+const SEMANTIC_CRATES: &[&str] = &["dataframe", "env", "reward", "rl", "core", "batch"];
+/// wall-clock is permitted in these crate dirs (execution layer).
+const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["telemetry", "bench", "benchmark", "runtime", "server"];
+/// rng-discipline permits seed construction only in these files.
+const RNG_ALLOWED_FILES: &[&str] = &["crates/runtime/src/lib.rs"];
+/// panic-path applies to these files (pooled request/leader paths).
+const PANIC_PATH_FILES: &[&str] = &[
+    "crates/server/src/lib.rs",
+    "crates/server/src/http.rs",
+    "crates/server/src/engine.rs",
+    "crates/server/src/pool.rs",
+    "crates/server/src/signal.rs",
+    "crates/batch/src/lib.rs",
+];
+/// unsafe is permitted (with SAFETY comments) only in these files.
+const UNSAFE_ALLOWED_FILES: &[&str] = &["crates/server/src/signal.rs"];
+/// Crate dirs whose roots may omit `#![forbid(unsafe_code)]` because they
+/// contain allowlisted unsafe modules.
+const FORBID_EXEMPT_CRATES: &[&str] = &["server"];
 
 /// Classify a workspace-relative path (`crates/env/src/cache.rs`).
 pub fn classify(rel: &str) -> FileClass {
@@ -505,15 +257,14 @@ fn push(findings: &mut Vec<Finding>, file: &str, line: usize, rule: Rule, messag
         line,
         rule,
         message,
-        status: Status::New,
-        reason: None,
+        allowed: None,
     });
 }
 
 /// Scan one source file. `rel` is the workspace-relative path used for tier
-/// classification; findings come back annotated (`Allowed`) but not
-/// baselined — [`Baseline::apply`] is a separate step.
-pub fn scan_source(rel: &str, src: &str, config: &Config) -> Vec<Finding> {
+/// classification; findings covered by an `allow` annotation carry its
+/// reason in [`Finding::allowed`].
+pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
     let class = classify(rel);
     if class.tier == Tier::Test {
         return Vec::new();
@@ -537,12 +288,13 @@ pub fn scan_source(rel: &str, src: &str, config: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
     let vendored = class.tier == Tier::Vendored;
     let crate_name = class.crate_dir.clone().unwrap_or_default();
+    let crate_in = |set: &[&str]| set.contains(&crate_name.as_str());
 
     // Crate roots must forbid unsafe unless the crate hosts allowlisted
     // unsafe modules. Applies to shims too — vendored code is exempt from
     // style rules, not from the unsafe inventory.
     if class.crate_root
-        && !config.forbid_exempt_crates.contains(&crate_name.as_str())
+        && !crate_in(FORBID_EXEMPT_CRATES)
         && !lines
             .iter()
             .any(|l| l.code.contains("#![forbid(unsafe_code)]"))
@@ -565,7 +317,7 @@ pub fn scan_source(rel: &str, src: &str, config: &Config) -> Vec<Finding> {
 
         // unsafe-inventory applies everywhere, including vendored shims.
         if has_word(code, "unsafe") {
-            if !config.unsafe_allowed_files.contains(&rel) {
+            if !UNSAFE_ALLOWED_FILES.contains(&rel) {
                 push(
                     &mut findings,
                     rel,
@@ -594,7 +346,7 @@ pub fn scan_source(rel: &str, src: &str, config: &Config) -> Vec<Finding> {
             continue; // shims get only the unsafe inventory
         }
 
-        if config.is_semantic(&class) {
+        if crate_in(SEMANTIC_CRATES) {
             for ty in ["HashMap", "HashSet"] {
                 if has_word(code, ty) {
                     push(
@@ -610,7 +362,7 @@ pub fn scan_source(rel: &str, src: &str, config: &Config) -> Vec<Finding> {
             }
         }
 
-        if !config.is_wallclock_exempt(&class) {
+        if !crate_in(WALLCLOCK_EXEMPT_CRATES) {
             for pat in ["Instant::now", "SystemTime::now"] {
                 if code.contains(pat) {
                     push(
@@ -633,7 +385,7 @@ pub fn scan_source(rel: &str, src: &str, config: &Config) -> Vec<Finding> {
             }
         }
 
-        if !config.rng_allowed_files.contains(&rel) {
+        if !RNG_ALLOWED_FILES.contains(&rel) {
             for pat in ["splitmix64", "thread_rng", "from_entropy"] {
                 if has_word(code, pat) {
                     push(
@@ -658,7 +410,7 @@ pub fn scan_source(rel: &str, src: &str, config: &Config) -> Vec<Finding> {
             }
         }
 
-        if config.panic_path_files.contains(&rel) {
+        if PANIC_PATH_FILES.contains(&rel) {
             for pat in [
                 ".unwrap()",
                 ".expect(",
@@ -691,10 +443,7 @@ pub fn scan_source(rel: &str, src: &str, config: &Config) -> Vec<Finding> {
 
     // Apply annotations.
     for f in &mut findings {
-        if let Some(reason) = allows.get(&(f.line, f.rule)) {
-            f.status = Status::Allowed;
-            f.reason = Some(reason.clone());
-        }
+        f.allowed = allows.get(&(f.line, f.rule)).cloned();
     }
     findings
 }
@@ -721,13 +470,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Scan every `.rs` file under `root` (skipping `target/` and dotdirs),
-/// apply `baseline`, and return the sorted report.
-pub fn check_workspace(
-    root: &Path,
-    config: &Config,
-    baseline: &Baseline,
-) -> std::io::Result<Report> {
+/// Scan every `.rs` file under `root` (skipping `target/` and dotdirs) and
+/// return the sorted report.
+pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
     walk(root, &mut files)?;
     let mut rels: Vec<String> = files
@@ -745,72 +490,49 @@ pub fn check_workspace(
     let mut report = Report::default();
     for rel in &rels {
         let src = std::fs::read_to_string(root.join(rel))?;
-        report.findings.extend(scan_source(rel, &src, config));
+        report.findings.extend(scan_source(rel, &src));
     }
     report.files_scanned = rels.len();
-    baseline.apply(&mut report.findings);
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
 }
 
-/// Locate the workspace root: walk up from `start` until a `Cargo.toml`
-/// containing `[workspace]` is found.
-pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = start.to_path_buf();
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg() -> Config {
-        Config::workspace_default()
-    }
-
     #[test]
     fn hash_order_flags_semantic_only() {
         let src = "use std::collections::HashMap;\n";
-        assert_eq!(scan_source("crates/env/src/x.rs", src, &cfg()).len(), 1);
-        assert!(scan_source("crates/telemetry/src/x.rs", src, &cfg()).is_empty());
-        assert!(scan_source("crates/env/tests/x.rs", src, &cfg()).is_empty());
+        assert_eq!(scan_source("crates/env/src/x.rs", src).len(), 1);
+        assert!(scan_source("crates/telemetry/src/x.rs", src).is_empty());
+        assert!(scan_source("crates/env/tests/x.rs", src).is_empty());
     }
 
     #[test]
     fn annotation_with_reason_suppresses() {
         let src = "use std::collections::HashMap; // atena-lint: allow(hash-order) — lookup only\n";
-        let f = scan_source("crates/env/src/x.rs", src, &cfg());
+        let f = scan_source("crates/env/src/x.rs", src);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].status, Status::Allowed);
-        assert_eq!(f[0].reason.as_deref(), Some("lookup only"));
+        assert_eq!(f[0].allowed.as_deref(), Some("lookup only"));
     }
 
     #[test]
     fn annotation_without_reason_does_not_suppress() {
         let src = "use std::collections::HashMap; // atena-lint: allow(hash-order)\n";
-        let f = scan_source("crates/env/src/x.rs", src, &cfg());
-        assert_eq!(f[0].status, Status::New);
+        let f = scan_source("crates/env/src/x.rs", src);
+        assert_eq!(f[0].allowed, None);
     }
 
     #[test]
     fn annotation_covers_next_line() {
         let src =
             "// atena-lint: allow(wall-clock) — telemetry sampling\nlet t = Instant::now();\n";
-        let f = scan_source("crates/env/src/x.rs", src, &cfg());
+        let f = scan_source("crates/env/src/x.rs", src);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].status, Status::Allowed);
+        assert!(f[0].allowed.is_some());
     }
 
     #[test]
@@ -822,27 +544,5 @@ mod tests {
         assert!(!unguarded_index("#[derive(Debug)]"));
         assert!(!unguarded_index("let a: [f32; 4] = make();"));
         assert!(!unguarded_index("vec![0u8; 16]"));
-    }
-
-    #[test]
-    fn baseline_ratchets() {
-        let src = "use std::collections::HashMap;\nuse std::collections::HashSet;\n";
-        let mut findings = scan_source("crates/env/src/x.rs", src, &cfg());
-        let mut baseline = Baseline::default();
-        baseline
-            .entries
-            .insert(("crates/env/src/x.rs".into(), "hash-order".into()), 1);
-        baseline.apply(&mut findings);
-        assert_eq!(findings[0].status, Status::Baselined);
-        assert_eq!(findings[1].status, Status::New);
-    }
-
-    #[test]
-    fn baseline_round_trips_through_json() {
-        let mut b = Baseline::default();
-        b.entries.insert(("a/b.rs".into(), "panic-path".into()), 3);
-        b.entries
-            .insert(("c — d.rs".into(), "hash-order".into()), 1);
-        assert_eq!(Baseline::parse(&b.to_json()).unwrap(), b);
     }
 }

@@ -54,7 +54,8 @@ pub fn step_diversity(cfg: &DiversityConfig, info: &StepInfo<'_>) -> f64 {
 mod tests {
     use super::*;
     use atena_dataframe::{AttrRole, CmpOp, DataFrame, Predicate};
-    use atena_env::{Display, DisplaySpec};
+    use atena_env::{Display, DisplaySpec, OpOutcome, ResolvedOp};
+    use std::f64::consts::FRAC_1_SQRT_2;
 
     fn base() -> DataFrame {
         DataFrame::builder()
@@ -107,5 +108,39 @@ mod tests {
         let b = base();
         let root = Display::root(&b);
         assert_eq!(min_distance(&root.vector, &[]), 0.0);
+    }
+
+    fn vector(values: &str) -> DisplayVector {
+        serde_json::from_str(values).unwrap()
+    }
+
+    #[test]
+    fn min_distance_and_step_diversity_match_hand_computed_values() {
+        let new = vector("[1.0, 1.0, 0.0, 0.0]");
+        let far = vector("[0.0, 0.0, 0.0, 0.0]");
+        let near = vector("[1.0, 0.0, 0.0, 0.0]");
+        // ‖new − far‖ / √dim = √2 / √4 = 1/√2
+        let got = min_distance(&new, &[&far]);
+        assert!((got - FRAC_1_SQRT_2).abs() < 1e-12, "got {got}");
+        // min(√2, ‖new − near‖ = 1) / √4 = 0.5
+        assert!((min_distance(&new, &[&far, &near]) - 0.5).abs() < 1e-12);
+
+        let b = base();
+        let root = Display::root(&b);
+        let mut shown = root.clone();
+        shown.vector = new;
+        let info = StepInfo {
+            op: &ResolvedOp::Filter(Predicate::new("x", CmpOp::Lt, 3i64)),
+            outcome: &OpOutcome::Applied,
+            prev_display: &root,
+            new_display: &shown,
+            earlier_vectors: vec![&far, &near],
+            past_ops: &[],
+            step: 1,
+            base: &b,
+        };
+        // 1 − exp(−k·d) with k = 6, d = 0.5: 1 − e^−3 = 0.950212931632136
+        let got = step_diversity(&DiversityConfig::default(), &info);
+        assert!((got - 0.950212931632136).abs() < 1e-12, "got {got}");
     }
 }

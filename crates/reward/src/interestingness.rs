@@ -178,7 +178,7 @@ pub fn display_interestingness(
 mod tests {
     use super::*;
     use atena_dataframe::{AggFunc, AttrRole, CmpOp, DataFrame, Predicate};
-    use atena_env::DisplaySpec;
+    use atena_env::{DisplaySpec, GroupingInfo};
 
     fn base() -> DataFrame {
         // 100 rows: protocol heavily skewed toward "tcp" except a block of
@@ -249,6 +249,63 @@ mod tests {
             score < 0.25,
             "one-group display should score low, got {score}"
         );
+    }
+
+    #[test]
+    fn group_interestingness_matches_hand_computed_values() {
+        let cfg = InterestingnessConfig::default();
+        // r = 100 data rows; the group shape is set by hand.
+        let mut d = Display::root(&base());
+        let shape = |n_groups, n_group_attrs| GroupingInfo {
+            n_groups,
+            size_mean: 0.0,
+            size_variance: 0.0,
+            n_group_attrs,
+        };
+        // g = 5, a = 2: h₁(g/r) · h₂(a) with
+        //   h₁(x) = 1 / (1 + exp((x − 0.25) / 0.08)): h₁(0.05) = 1 / (1 + e^−2.5)
+        //   h₂(a) = 1 / (1 + exp((a − 2.5) / 0.6)):   h₂(2)    = 1 / (1 + e^−5/6)
+        //   0.9241418199787566 · 0.6970592839654074 = 0.6441816353168804
+        d.grouping = Some(shape(5, 2));
+        let got = group_interestingness(&cfg, &d);
+        assert!((got - 0.6441816353168804).abs() < 1e-12, "got {got}");
+        // g = 1 < 2 groups, a = 1: 0.2 · h₁(0.01) · h₂(1)
+        //   = 0.2 · 1 / (1 + e^−3) · 1 / (1 + e^−2.5)
+        //   = 0.2 · 0.9525741268224334 · 0.9241418199787566 = 0.1760627174452717
+        d.grouping = Some(shape(1, 1));
+        let got = group_interestingness(&cfg, &d);
+        assert!((got - 0.1760627174452717).abs() < 1e-12, "got {got}");
+    }
+
+    #[test]
+    fn filter_interestingness_matches_hand_computed_kl() {
+        let cfg = InterestingnessConfig::default();
+        let col = |values: &[&'static str]| values.iter().map(|&v| Some(v)).collect::<Vec<_>>();
+        let b = DataFrame::builder()
+            .str(
+                "a",
+                AttrRole::Categorical,
+                col(&["x", "x", "x", "x", "y", "y", "y", "y"]),
+            )
+            .str(
+                "b",
+                AttrRole::Categorical,
+                col(&["p", "p", "p", "p", "p", "p", "q", "q"]),
+            )
+            .build()
+            .unwrap();
+        let root = Display::root(&b);
+        let kept = Display::materialize(
+            &b,
+            DisplaySpec::default().with_predicate(Predicate::new("a", CmpOp::Eq, "y")),
+        )
+        .unwrap();
+        // The filtered attribute `a` is excluded, leaving `b`:
+        //   P_b before = {p: 3/4, q: 1/4}, after = {p: 1/2, q: 1/2}
+        //   D_KL = ½·log₂(½ / ¾) + ½·log₂(½ / ¼) = 0.20751874963942185 bits
+        //   h(D) = 1 / (1 + exp(−(D − 0.4) / 0.25)) = 0.31649533018109555
+        let got = filter_interestingness(&cfg, &root, &kept, Some("a"));
+        assert!((got - 0.31649533018109555).abs() < 1e-12, "got {got}");
     }
 
     #[test]

@@ -185,6 +185,28 @@ mod tests {
     }
 
     #[test]
+    fn gae_matches_hand_computed_values() {
+        let mut buf = RolloutBuffer::new();
+        buf.push(step(1.0, 0.5, false));
+        buf.push(step(0.0, 0.25, false));
+        buf.push(step(2.0, 1.0, true));
+        let est = buf.advantages(0.9, 0.5);
+        // δₜ = rₜ + γ·V(sₜ₊₁) − V(sₜ),  Aₜ = δₜ + γλ·Aₜ₊₁,  Rₜ = Aₜ + V(sₜ); γλ = 0.45
+        //   δ₂ = 2 − 1 = 1                  A₂ = 1                  R₂ = 2
+        //   δ₁ = 0 + 0.9·1 − 0.25 = 0.65    A₁ = 0.65 + 0.45·1 = 1.1    R₁ = 1.35
+        //   δ₀ = 1 + 0.9·0.25 − 0.5 = 0.725 A₀ = 0.725 + 0.45·1.1 = 1.22 R₀ = 1.72
+        let expected_adv = [1.22f32, 1.1, 1.0];
+        let expected_ret = [1.72f32, 1.35, 2.0];
+        for i in 0..3 {
+            assert!(
+                (est.advantages[i] - expected_adv[i]).abs() < 1e-6,
+                "{est:?}"
+            );
+            assert!((est.returns[i] - expected_ret[i]).abs() < 1e-6, "{est:?}");
+        }
+    }
+
+    #[test]
     fn normalization() {
         let mut est = AdvantageEstimates {
             advantages: vec![1.0, 2.0, 3.0, 4.0],

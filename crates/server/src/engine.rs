@@ -214,26 +214,15 @@ impl Engine {
     /// for a given request: the environment seed is fixed and the decode
     /// temperature is ≈0.
     pub fn decode(&self, request: &NotebookRequest) -> Result<NotebookResponse, EngineError> {
-        self.decode_traced(request, None)
-    }
-
-    /// [`Engine::decode`] with optional span emission: when `parent` is an
-    /// open span, each decode step records `nn.forward` (policy inference)
-    /// and `env.step` (display materialization) children under it. Tracing
-    /// is execution-only — the decoded notebook is identical either way.
-    pub fn decode_traced(
-        &self,
-        request: &NotebookRequest,
-        parent: Option<&SpanGuard<'_, '_>>,
-    ) -> Result<NotebookResponse, EngineError> {
-        let frame = Arc::clone(&self.frame);
-        self.decode_with_frame(&frame, request, parent)
+        self.decode_with_frame(&self.frame, request, None)
     }
 
     /// Greedy-decode one notebook over an explicit frame (which must have
     /// passed [`Engine::check_frame`]). The engine's display cache is
     /// shared across datasets — cache keys include the dataset fingerprint,
-    /// so entries from different datasets can never alias.
+    /// so entries from different datasets can never alias. When `parent` is
+    /// an open span, each step records `nn.forward` and `env.step` children
+    /// under it; tracing is execution-only, so the notebook is identical.
     pub fn decode_with_frame(
         &self,
         frame: &Arc<DataFrame>,

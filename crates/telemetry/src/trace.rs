@@ -341,11 +341,6 @@ impl<'t> ActiveTrace<'t> {
         self.child_of(ROOT_SPAN_ID, name)
     }
 
-    /// Seconds since the trace (root span) started.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Record a span with an exact externally-measured duration (e.g. a
     /// worker thread's busy time) under `parent_id`. The start timestamp is
     /// back-dated by the duration, which is close enough for flame tables.
@@ -447,22 +442,6 @@ impl<'a, 't> SpanGuard<'a, 't> {
         self.trace.child_of(self.span_id, name)
     }
 
-    /// Record a child with an exact externally-measured duration.
-    pub fn child_exact(
-        &self,
-        name: &'static str,
-        duration_secs: f64,
-        attrs: Vec<(&'static str, String)>,
-    ) {
-        self.trace
-            .record_exact(self.span_id, name, duration_secs, attrs);
-    }
-
-    /// Seconds since the span opened.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Close now and return the elapsed seconds.
     pub fn finish(mut self) -> f64 {
         let elapsed = self.start.elapsed().as_secs_f64();
@@ -545,7 +524,7 @@ mod tests {
                 let mut inner = outer.child("inner");
                 inner.set_attr("step", "0");
             }
-            outer.child_exact("exact", 0.25, vec![("worker", "3".to_string())]);
+            trace.record_exact(outer.id(), "exact", 0.25, vec![("worker", "3".to_string())]);
             drop(outer);
             let _solo = trace.span("solo");
         }

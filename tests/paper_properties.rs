@@ -116,15 +116,16 @@ fn large_dataset_episode_mechanics() {
             seed: 3,
         },
     );
-    let obs = env.reset();
+    env.reset();
     let dim = env.observation_dim();
-    assert_eq!(obs.len(), dim);
+    assert_eq!(env.observation().len(), dim);
     let mut rng = StdRng::seed_from_u64(9);
     while !env.done() {
         let action = atena::reward::random_action(&env, &mut rng);
-        let t = env.step(&action);
-        assert_eq!(t.observation.len(), dim);
-        assert!(t.observation.iter().all(|v| v.is_finite()));
+        env.step(&action);
+        let obs = env.observation();
+        assert_eq!(obs.len(), dim);
+        assert!(obs.iter().all(|v| v.is_finite()));
     }
     assert_eq!(env.session().ops().len(), 6);
 }
